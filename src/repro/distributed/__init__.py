@@ -7,10 +7,12 @@ task unit (rule + topology + spawned seed — see
 
 * :mod:`~repro.distributed.wire` — a versioned, canonical JSON
   encoding of shard tasks and results (replacing the pickle-only pool
-  path), plus the framed TCP protocol;
+  path) that names graphs by the digest of their CSR blob, plus the
+  framed TCP protocol;
 * :mod:`~repro.distributed.broker` — an asyncio queue holding the
   shard ledger (pending/leased/done), with lease timeouts, heartbeat
-  renewal and requeue-on-dead-worker;
+  renewal and requeue-on-dead-worker, and the topology blobs its jobs
+  refer to;
 * :mod:`~repro.distributed.worker` — the lease/execute/stream-back
   loop around :func:`repro.parallel.run_shard`;
 * :mod:`~repro.distributed.client` — job submission and collection,

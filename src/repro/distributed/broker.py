@@ -14,15 +14,26 @@ Two layers:
   rather than looping forever.  The ledger takes explicit ``now``
   timestamps, so every transition is unit-testable without a clock.
 
+* :class:`BlobStore` — the topology blobs shard tasks refer to by
+  digest (see :mod:`repro.distributed.wire`), held as opaque text.  A
+  blob stays while any live job references it; unreferenced blobs are
+  evicted, least recently used first, only while the store is over
+  :data:`BLOB_STORE_BYTES`.
+
 * :class:`Broker` — a small asyncio TCP server speaking the framed
   JSON protocol of :mod:`repro.distributed.wire`.  Clients ``submit``
-  a job (a list of encoded shard tasks keyed by shard index) and
-  either ``wait`` for it (one blocking reply) or poll ``collect`` for
-  incremental results (the checkpointing path), finishing with
-  ``drop``; workers ``lease`` / ``heartbeat`` / ``complete`` /
-  ``error``.  Shard payloads pass through the broker opaquely — it
-  never decodes a task, so its memory and CPU footprint is queue-sized,
-  not simulation-sized.  Result frames *are* shallowly validated
+  a job (a list of encoded shard tasks keyed by shard index, plus the
+  ``digests`` of the topologies they refer to) and either ``wait`` for
+  it (one blocking reply) or poll ``collect`` for incremental results
+  (the checkpointing path), finishing with ``drop``.  A submit naming a
+  digest the store lacks is answered ``need`` with the missing digests,
+  and the client sends it again with those ``blobs`` attached, so a
+  topology reaches the broker once, not once per shard.  Workers
+  ``lease`` / ``heartbeat`` / ``complete`` / ``error``, and fetch a
+  ``blob`` by digest when their own topology store misses.  Shard
+  payloads and blobs pass through the broker opaquely — it never
+  decodes a task or a blob, so its CPU footprint is queue-sized, not
+  simulation-sized.  Result frames *are* shallowly validated
   (:func:`~repro.distributed.wire.result_envelope_error`): a
   structurally broken result is rejected and its shard requeued
   without poison-counting, instead of poisoning the client's decode.
@@ -41,13 +52,24 @@ import contextlib
 import os
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from ..telemetry import get_telemetry, span_id_from, summarize_values
 from .wire import attach_trace, read_frame, result_envelope_error, write_frame
 
-__all__ = ["ShardLedger", "ShardRecord", "QueueMetrics", "Broker"]
+__all__ = [
+    "ShardLedger",
+    "ShardRecord",
+    "QueueMetrics",
+    "BlobStore",
+    "BLOB_STORE_BYTES",
+    "Broker",
+]
+
+#: Byte budget of a broker's topology blob store.  Only blobs no live
+#: job references are evicted to get back under it.
+BLOB_STORE_BYTES = 256 << 20
 
 #: Shard states.
 PENDING = "pending"
@@ -449,6 +471,76 @@ class QueueMetrics:
         }
 
 
+class BlobStore:
+    """Topology blobs by digest, pinned by the live jobs that use them.
+
+    Blobs are opaque text; their size is their length (the wire's blobs
+    are ASCII).  Like :class:`ShardLedger`, a pure in-memory structure,
+    mutated only on the broker's event loop.
+    """
+
+    def __init__(self, cap_bytes: int = BLOB_STORE_BYTES) -> None:
+        self.cap_bytes = int(cap_bytes)
+        self.bytes = 0
+        self.sends = 0
+        self.pushes = 0
+        self._blobs: OrderedDict[str, str] = OrderedDict()
+        self._pins: dict[str, frozenset[str]] = {}
+
+    def __len__(self) -> int:
+        return len(self._blobs)
+
+    def put(self, digest: str, blob: str) -> None:
+        """Store a blob a client pushed (a repeat push is a no-op)."""
+        if not isinstance(digest, str) or not isinstance(blob, str):
+            raise TypeError("blobs must map digest strings to blob strings")
+        self.pushes += 1
+        if digest not in self._blobs:
+            self._blobs[digest] = blob
+            self.bytes += len(blob)
+
+    def missing(self, digests) -> list[str]:
+        """The digests among ``digests`` the store does not hold."""
+        return [d for d in dict.fromkeys(digests) if d not in self._blobs]
+
+    def send(self, digest: str) -> str | None:
+        """The blob a worker asked for (None if absent), counted as a send."""
+        blob = self._blobs.get(digest)
+        if blob is not None:
+            self._blobs.move_to_end(digest)
+            self.sends += 1
+        return blob
+
+    def pin(self, job_id: str, digests) -> None:
+        """Keep ``digests`` while ``job_id`` lives."""
+        self._pins[job_id] = frozenset(digests)
+
+    def unpin(self, job_id: str) -> None:
+        """Release a finished job's blobs, evicting if over the cap."""
+        self._pins.pop(job_id, None)
+        self.evict()
+
+    def evict(self) -> None:
+        """Drop unpinned blobs, least recently used first, while over the cap."""
+        if self.bytes <= self.cap_bytes:
+            return
+        pinned = frozenset().union(*self._pins.values())
+        for digest in [d for d in self._blobs if d not in pinned]:
+            if self.bytes <= self.cap_bytes:
+                break
+            self.bytes -= len(self._blobs.pop(digest))
+
+    def snapshot(self) -> dict:
+        """JSON-able footprint and traffic counters."""
+        return {
+            "entries": len(self._blobs),
+            "bytes": self.bytes,
+            "cap_bytes": self.cap_bytes,
+            "sends": self.sends,
+            "pushes": self.pushes,
+        }
+
+
 class Broker:
     """Asyncio TCP broker serving the shard queue on ``host:port``.
 
@@ -480,6 +572,7 @@ class Broker:
             lease_timeout=lease_timeout, max_attempts=max_attempts
         )
         self.metrics = QueueMetrics()
+        self.blobs = BlobStore()
         self.sweep_interval = (
             float(sweep_interval)
             if sweep_interval is not None
@@ -672,16 +765,18 @@ class Broker:
             "pid": os.getpid(),
             "queue": self.ledger.counts(),
             "metrics": self.metrics.snapshot(now),
+            "blobs": self.blobs.snapshot(),
             "health": self._health_sync(),
         }
 
     def status_snapshot(self) -> dict:
         """Thread-safe ``/statusz`` frame: queue, metrics, cache, resources.
 
-        The superset of the TCP ``status`` reply: ledger counts and
+        The superset of the TCP ``status`` reply: ledger counts,
         :class:`QueueMetrics` (with per-worker throughput and peak
-        RSS), plus this process's circuit-breaker states, result-cache
-        footprint and resource snapshot.
+        RSS) and the :class:`BlobStore` footprint and traffic, plus this
+        process's circuit-breaker states, result-cache footprint and
+        resource snapshot.
         """
         from ..telemetry.resource import resource_snapshot
         from .client import transport_snapshot
@@ -699,6 +794,8 @@ class Broker:
         gauges: dict = {
             "broker.jobs": counts["jobs"],
             "broker.stale_leases": stale,
+            "broker.blobs.entries": len(self.blobs),
+            "broker.blobs.bytes": self.blobs.bytes,
         }
         for state in (PENDING, LEASED, DONE, FAILED):
             gauges[f"broker.shards.{state}"] = counts[state]
@@ -721,6 +818,8 @@ class Broker:
             f"broker.queue.{key}": value
             for key, value in self.metrics.counters.items()
         }
+        counters["broker.blob_sends"] = self.blobs.sends
+        counters["broker.blob_pushes"] = self.blobs.pushes
         histograms = {}
         if snap.get("wait_s"):
             histograms["broker.wait.seconds"] = snap["wait_s"]
@@ -729,7 +828,7 @@ class Broker:
         return {"gauges": gauges, "counters": counters, "histograms": histograms}
 
     def metrics_extra(self) -> dict:
-        """Thread-safe extra ``/metrics`` families: queue depths and workers."""
+        """Thread-safe extra ``/metrics`` families: queue, workers and blobs."""
         return self._on_loop(self._metrics_extra_sync)
 
     def serve_metrics(self, port: int, host: str = "127.0.0.1"):
@@ -794,6 +893,7 @@ class Broker:
         if job_id in self._job_started:
             self._finish_job_span(job_id, "dropped")
         self.ledger.drop_job(job_id)
+        self.blobs.unpin(job_id)
         self._events.pop(job_id, None)
         self._finished_at.pop(job_id, None)
         self._job_traces.pop(job_id, None)
@@ -955,8 +1055,25 @@ class Broker:
                         )
                     await write_frame(writer, {"type": "ok"})
                     self._notify(job_id)
+                elif kind == "blob":
+                    digest = message["digest"]
+                    await write_frame(
+                        writer,
+                        {
+                            "type": "blob",
+                            "digest": digest,
+                            "blob": self.blobs.send(digest),
+                        },
+                    )
                 elif kind == "submit":
                     job_id = message["job_id"]
+                    digests = message.get("digests", [])
+                    for digest, blob in (message.get("blobs") or {}).items():
+                        self.blobs.put(digest, blob)
+                    need = self.blobs.missing(digests)
+                    if need:
+                        await write_frame(writer, {"type": "need", "digests": need})
+                        continue
                     try:
                         self.ledger.submit(
                             job_id,
@@ -970,6 +1087,8 @@ class Broker:
                             writer, {"type": "failed", "error": str(exc)}
                         )
                         continue
+                    self.blobs.pin(job_id, digests)
+                    self.blobs.evict()
                     self.metrics.on_submit(
                         self.ledger.job_shards(job_id), time.monotonic()
                     )

@@ -10,6 +10,12 @@ spawned seeds are computed *before* the transport is chosen, so
 ``run_distributed`` over any broker, any worker count and any arrival
 order is bit-for-bit identical to ``run_sharded(workers=1)``.
 
+Topologies reach the broker by reference: a submit lists the digests
+of the graphs its tasks refer to, and only when the broker answers
+``need`` does the client send it again with those blobs attached (see
+:mod:`repro.distributed.wire`), so a job on a topology the broker
+already holds ships no CSR at all.
+
 Before contacting the broker the client consults the content-addressed
 :class:`~repro.distributed.cache.ResultCache`; fully-cached jobs never
 open a socket at all.  Freshly computed shard results are written back
@@ -51,6 +57,7 @@ from ..resilience.faults import InjectedCrash, InjectedFault, active_fault_plan
 from ..telemetry import get_telemetry
 from .cache import resolve_cache
 from .wire import (
+    TOPOLOGIES,
     WireDecodeError,
     attach_trace,
     decode_result,
@@ -58,6 +65,7 @@ from .wire import (
     parse_endpoint,
     recv_frame,
     send_frame,
+    task_digests,
     task_key,
 )
 
@@ -247,12 +255,16 @@ def execute_shards_remote(
         job_id = uuid.uuid4().hex
         sock = _open_socket(endpoint, connect_timeout, timeout)
         with sock:
+            digests = sorted(
+                {d for i in pending for d in task_digests(encoded[i])}
+            )
             submit = {
                 "type": "submit",
                 "job_id": job_id,
                 "tasks": [
                     {"index": i, "task": encoded[i]} for i in pending
                 ],
+                "digests": digests,
             }
             # The optional trace-context wire key: present only when the
             # client itself is tracing, so untraced submissions stay
@@ -260,6 +272,14 @@ def execute_shards_remote(
             if tel.enabled:
                 attach_trace(submit, tel.current_context())
             reply = _exchange(sock, submit)
+            if reply.get("type") == "need":
+                # The broker lacks some topologies (first job on them,
+                # a broker restart, or an eviction): push just those.
+                needed = set(reply.get("digests", ()))
+                submit["blobs"] = {
+                    d: TOPOLOGIES.blob(d) for d in digests if d in needed
+                }
+                reply = _exchange(sock, submit)
             if reply.get("type") != "accepted":
                 raise DistributedError(
                     f"broker rejected job: {reply.get('error', reply)}"

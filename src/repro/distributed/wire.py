@@ -1,12 +1,13 @@
 """Versioned wire format for distributed shard execution.
 
 Everything a :class:`~repro.parallel.ShardTask` carries — the spread
-rule and its branching policy, the topology (a static CSR payload or a
-seeded graph-sequence spec), the completion criterion, the initial
-state array, and the shard's spawned :class:`numpy.random.SeedSequence`
-— is encoded into plain JSON-able dictionaries, and likewise for
-:class:`~repro.engine.SpreadResult`.  The pickle-only path of the
-in-process pool is thereby replaced by a format that
+rule and its branching policy, the topology (a reference to a static
+graph's CSR blob, or a seeded graph-sequence spec), the completion
+criterion, the initial state array, and the shard's spawned
+:class:`numpy.random.SeedSequence` — is encoded into plain JSON-able
+dictionaries, and likewise for :class:`~repro.engine.SpreadResult`.
+The pickle-only path of the in-process pool is thereby replaced by a
+format that
 
 * is **versioned** (:data:`WIRE_VERSION` travels in every task/result
   and decoding rejects unknown versions instead of mis-parsing),
@@ -25,6 +26,24 @@ constructor spec plus its master seed (entropy, spawn key, pool size).
 the identical topology realisation regardless of how far the sender's
 copy had already advanced.
 
+Topologies travel by reference.  A static graph (a task's topology,
+or the ``base`` of a sequence spec) encodes as a ``graph-ref``: its
+sha256 *digest* plus ``n``, ``m`` and ``name``.  The digest is the
+content address of the graph's full CSR encoding, its *blob*, so
+:func:`task_key` still covers every edge while hashing a fraction of
+the bytes.  Each process keeps one :class:`TopologyStore`
+(:data:`TOPOLOGIES`) that resolves refs on decode: graphs the process
+encoded itself are held weakly, and blobs fetched from a broker are
+installed, after their digest is checked, into a bounded LRU.  The
+broker holds blobs by digest without decoding them; a client pushes a
+blob when the broker answers its ``submit`` with ``need``, and a
+worker pulls one with a ``blob`` request on its lease connection when
+its store misses.  A topology therefore crosses the wire once per
+broker and once per worker, not once per shard.
+
+Boolean arrays (initial states, final states) carry :func:`numpy.packbits`
+bytes, eight cells to a byte.
+
 The module also owns the length-prefixed JSON framing used by the
 broker, worker and client (blocking-socket and asyncio variants), so
 the three speak one protocol by construction.
@@ -37,7 +56,10 @@ import base64
 import hashlib
 import json
 import struct
+import threading
 import time
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 
@@ -61,7 +83,12 @@ from ..telemetry import get_telemetry
 __all__ = [
     "WIRE_VERSION",
     "MAX_FRAME_BYTES",
+    "TOPOLOGY_LRU_SIZE",
     "WireDecodeError",
+    "TopologyStore",
+    "TOPOLOGIES",
+    "graph_digest",
+    "task_digests",
     "attach_trace",
     "encode_task",
     "decode_task",
@@ -80,12 +107,18 @@ __all__ = [
 #: Format version stamped into every encoded task and result.  Bump it
 #: whenever the encoding changes shape; decoders reject other versions,
 #: and the version participates in :func:`task_key`, so a bump also
-#: invalidates every cached result.
-WIRE_VERSION = 1
+#: invalidates every cached result.  Version 2 ships graphs as
+#: content-addressed refs and bit-packs boolean arrays.
+WIRE_VERSION = 2
 
 #: Upper bound on one framed message (guards against a corrupt or
 #: hostile length prefix allocating gigabytes).
 MAX_FRAME_BYTES = 1 << 30
+
+#: How many fetched topologies a process keeps, least recently used
+#: evicted first.  Graphs the process encoded itself are held weakly
+#: and do not count against it.
+TOPOLOGY_LRU_SIZE = 4
 
 
 class WireDecodeError(ValueError):
@@ -124,20 +157,35 @@ class WireDecodeError(ValueError):
 # Scalars and arrays
 # ----------------------------------------------------------------------
 def _encode_array(arr: np.ndarray) -> dict:
-    """Encode an ndarray as dtype + shape + base64 of its C-order bytes."""
+    """Encode an ndarray as dtype + shape + base64 of its C-order bytes.
+
+    Boolean arrays are bit-packed (:func:`numpy.packbits`, C order,
+    zero-padded to a whole byte).
+    """
     arr = np.ascontiguousarray(arr)
+    raw = np.packbits(arr, axis=None) if arr.dtype == np.bool_ else arr
     return {
         "dtype": arr.dtype.str,
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "data": base64.b64encode(raw.tobytes()).decode("ascii"),
     }
 
 
 def _decode_array(obj: dict) -> np.ndarray:
     """Rebuild an ndarray from :func:`_encode_array` output (owned copy)."""
     raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-    return arr.reshape([int(s) for s in obj["shape"]]).copy()
+    dtype = np.dtype(obj["dtype"])
+    shape = [int(s) for s in obj["shape"]]
+    if dtype == np.bool_:
+        count = int(np.prod(shape))
+        if len(raw) != (count + 7) // 8:
+            raise ValueError(
+                f"packed bool data holds {len(raw)} bytes, shape {shape} "
+                f"needs {(count + 7) // 8}"
+            )
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+        return bits.view(np.bool_).reshape(shape)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def _maybe_array(obj: dict | None) -> np.ndarray | None:
@@ -374,24 +422,153 @@ def _decode_adversary(obj: dict):
 # ----------------------------------------------------------------------
 # Topologies
 # ----------------------------------------------------------------------
-def _encode_graph(graph: Graph) -> dict:
-    return {
-        "kind": "graph",
-        "n": int(graph.n),
-        "m": int(graph.m),
-        "name": graph.name,
-        "indptr": _encode_array(graph.indptr),
-        "indices": _encode_array(graph.indices),
-    }
+def _graph_blob(graph: Graph) -> bytes:
+    """The full CSR encoding of a graph, canonical bytes: its blob."""
+    return canonical_bytes(
+        {
+            "kind": "graph",
+            "n": int(graph.n),
+            "m": int(graph.m),
+            "name": graph.name,
+            "indptr": _encode_array(graph.indptr),
+            "indices": _encode_array(graph.indices),
+        }
+    )
 
 
-def _decode_graph(obj: dict) -> Graph:
+def _graph_from_blob(obj: dict) -> Graph:
+    if obj["kind"] != "graph":
+        raise ValueError(f"expected a graph blob, got kind {obj['kind']!r}")
     indptr = _decode_array(obj["indptr"])
     indices = _decode_array(obj["indices"])
     degrees = np.diff(indptr)
     return Graph._from_csr(
         int(obj["n"]), int(obj["m"]), indptr, indices, degrees, obj["name"]
     )
+
+
+def graph_digest(graph: Graph) -> str:
+    """sha256 of a graph's blob: the content address its refs carry.
+
+    Computed once per :class:`~repro.graphs.Graph` (its arrays are
+    read-only) and memoised on the graph.
+    """
+    if graph._digest is None:
+        graph._digest = hashlib.sha256(_graph_blob(graph)).hexdigest()
+    return graph._digest
+
+
+class TopologyStore:
+    """Process-local map from topology digest to :class:`~repro.graphs.Graph`.
+
+    Two tiers.  Graphs this process encoded are registered weakly, so
+    an in-process ``decode_task(encode_task(task))`` resolves its ref
+    while the caller's graph lives, and the store never extends a
+    graph's lifetime.  Graphs installed from a fetched blob (a
+    worker's) are held strongly in an LRU of :data:`TOPOLOGY_LRU_SIZE`
+    entries.  Safe to share between threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._local: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        self._fetched: OrderedDict[str, Graph] = OrderedDict()
+
+    def register(self, graph: Graph) -> str:
+        """Make ``graph`` resolvable by its digest; returns the digest."""
+        digest = graph_digest(graph)
+        with self._lock:
+            self._local[digest] = graph
+        return digest
+
+    def get(self, digest: str) -> Graph | None:
+        """The graph with this digest, or None when this process lacks it."""
+        with self._lock:
+            graph = self._fetched.get(digest)
+            if graph is not None:
+                self._fetched.move_to_end(digest)
+                return graph
+            return self._local.get(digest)
+
+    def blob(self, digest: str) -> str:
+        """The blob of a graph this process holds, as ASCII text.
+
+        Raises ``KeyError`` for a digest the store does not hold.
+        """
+        graph = self.get(digest)
+        if graph is None:
+            raise KeyError(digest)
+        return _graph_blob(graph).decode("ascii")
+
+    def install(self, digest: str, blob: str) -> Graph:
+        """Verify a fetched blob against its digest, decode and keep it.
+
+        Raises :class:`WireDecodeError` naming ``digest`` when the blob
+        does not hash to ``digest``, and naming the offending field when
+        it hashes correctly but does not decode.
+        """
+        if not isinstance(blob, str) or (
+            hashlib.sha256(blob.encode("utf-8")).hexdigest() != digest
+        ):
+            raise WireDecodeError(
+                "topology blob does not match its digest", kind="blob", key="digest"
+            )
+        try:
+            graph = _graph_from_blob(json.loads(blob))
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise _wrap_decode_error("blob", exc) from exc
+        with self._lock:
+            self._fetched[digest] = graph
+            self._fetched.move_to_end(digest)
+            while len(self._fetched) > TOPOLOGY_LRU_SIZE:
+                self._fetched.popitem(last=False)
+        return graph
+
+
+#: The topology store of this process (see :class:`TopologyStore`).
+TOPOLOGIES = TopologyStore()
+
+
+def _encode_graph(graph: Graph) -> dict:
+    return {
+        "kind": "graph-ref",
+        "digest": TOPOLOGIES.register(graph),
+        "n": int(graph.n),
+        "m": int(graph.m),
+        "name": graph.name,
+    }
+
+
+def _decode_graph(obj: dict) -> Graph:
+    if obj["kind"] != "graph-ref":
+        raise ValueError(f"expected a graph-ref, got kind {obj['kind']!r}")
+    graph = TOPOLOGIES.get(obj["digest"])
+    if graph is None:
+        raise WireDecodeError(
+            "task refers to a topology blob this process does not hold",
+            kind="task",
+            key="digest",
+        )
+    return graph
+
+
+def task_digests(obj) -> list[str]:
+    """The topology digests an encoded task refers to (empty if none).
+
+    Tolerates malformed input: whatever is wrong with it is reported by
+    :func:`decode_task`.
+    """
+    topology = obj.get("topology") if isinstance(obj, dict) else None
+    if not isinstance(topology, dict):
+        return []
+    ref = topology.get("base", topology)
+    if (
+        isinstance(ref, dict)
+        and ref.get("kind") == "graph-ref"
+        and isinstance(ref.get("digest"), str)
+    ):
+        return [ref["digest"]]
+    return []
 
 
 def _encode_topology(topology) -> dict:
@@ -473,7 +650,7 @@ def _decode_topology(obj: dict):
     from ..dynamics.sequence import FrozenSequence
 
     kind = obj["kind"]
-    if kind == "graph":
+    if kind == "graph-ref":
         return _decode_graph(obj)
     if kind == "frozen":
         return FrozenSequence(_decode_graph(obj["base"]))
@@ -785,15 +962,17 @@ def send_frame(sock, obj: dict, *, site: str | None = None) -> None:
     sock.sendall(payload)
 
 
-def _recv_exact(sock, count: int, *, allow_eof: bool = False) -> bytes | None:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
-            if allow_eof and not buf:
+def _recv_exact(sock, count: int, *, allow_eof: bool = False) -> bytearray | None:
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
+        received = sock.recv_into(view[got:])
+        if not received:
+            if allow_eof and not got:
                 return None
             raise ConnectionError("connection closed mid-frame")
-        buf += chunk
+        got += received
     return buf
 
 

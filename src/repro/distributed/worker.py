@@ -4,10 +4,12 @@ A worker is a plain blocking-socket loop around the one engine entry
 point the whole repo shares, :func:`repro.parallel.run_shard`: it
 leases a shard from the broker, decodes the task (rule, topology,
 completion, state, seed) through :mod:`repro.distributed.wire`,
-executes it, and streams the encoded result back.  Leasing happens in
-completion order — a worker only asks for the next shard after
-finishing the last — which is what balances heavy-tailed cover times
-across a heterogeneous pool.
+executes it, and streams the encoded result back.  A task names its
+graph by digest; on a miss in the process's topology store the worker
+fetches the blob from the broker once (``worker.blob_fetches``) and
+keeps it for later shards.  Leasing happens in completion order — a
+worker only asks for the next shard after finishing the last — which
+is what balances heavy-tailed cover times across a heterogeneous pool.
 
 While a shard is computing, a daemon heartbeat thread renews the lease
 at a third of the broker's lease timeout, so long shards on healthy
@@ -50,12 +52,15 @@ from ..telemetry import TraceContext, get_telemetry
 from ..telemetry.live import MetricsServer, metrics_port_from_env
 from ..telemetry.resource import ResourceSampler, resource_snapshot
 from .wire import (
+    TOPOLOGIES,
+    WireDecodeError,
     attach_trace,
     decode_task,
     encode_result,
     parse_endpoint,
     recv_frame,
     send_frame,
+    task_digests,
 )
 
 __all__ = ["run_worker"]
@@ -101,6 +106,35 @@ def _heartbeat_loop(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             continue
+
+
+def _fetch_topologies(sock: socket.socket, lock: threading.Lock, task) -> None:
+    """Pull every topology blob ``task`` refers to that this process lacks.
+
+    One ``blob`` request per missing digest on the lease connection;
+    the blob is verified against its digest before it enters the
+    topology store.  A broker that holds no such blob raises
+    :class:`WireDecodeError`, so the shard is reported as failed; a
+    broken connection raises ``ConnectionError``, so the worker
+    re-dials and the broker requeues the lease.
+    """
+    tel = get_telemetry()
+    for digest in task_digests(task):
+        if TOPOLOGIES.get(digest) is not None:
+            continue
+        with lock:
+            send_frame(sock, {"type": "blob", "digest": digest}, site="worker.send")
+        reply = recv_frame(sock)
+        if reply is None or reply.get("type") != "blob":
+            raise ConnectionError("broker did not answer a blob request")
+        if reply.get("blob") is None:
+            raise WireDecodeError(
+                "the broker holds no blob for this topology",
+                kind="blob",
+                key="digest",
+            )
+        TOPOLOGIES.install(digest, reply["blob"])
+        tel.count("worker.blob_fetches")
 
 
 def _dial(host: str, port: int, policy: RetryPolicy) -> socket.socket:
@@ -234,43 +268,54 @@ def run_worker(
                     interval = max(
                         0.05, float(message.get("lease_timeout", 30.0)) / 3.0
                     )
-                    stop = threading.Event()
-                    heartbeat = threading.Thread(
-                        target=_heartbeat_loop,
-                        args=(sock, lock, shard_id, interval, stop),
-                        name="repro-worker-heartbeat",
-                        daemon=True,
-                    )
-                    heartbeat.start()
                     if tel.enabled:
                         tel.event("worker.lease", shard=shard_id)
+                    failure = None
                     try:
-                        # Install the job's trace context (when the lease
-                        # carried one) so the shard.run span stitches under
-                        # the client's tree; restored immediately after.
-                        prev_ctx = tel.install_context(trace) if trace else None
+                        # Before the heartbeat starts: a connection error
+                        # here must re-dial with no thread left beating.
+                        _fetch_topologies(sock, lock, message["task"])
+                    except WireDecodeError as exc:
+                        failure = exc
+                    if failure is None:
+                        stop = threading.Event()
+                        heartbeat = threading.Thread(
+                            target=_heartbeat_loop,
+                            args=(sock, lock, shard_id, interval, stop),
+                            name="repro-worker-heartbeat",
+                            daemon=True,
+                        )
+                        heartbeat.start()
                         try:
-                            result = run_shard(decode_task(message["task"]))
+                            # Install the job's trace context (when the
+                            # lease carried one) so the shard.run span
+                            # stitches under the client's tree; restored
+                            # immediately after.
+                            prev_ctx = (
+                                tel.install_context(trace) if trace else None
+                            )
+                            try:
+                                result = run_shard(decode_task(message["task"]))
+                            finally:
+                                if trace is not None:
+                                    tel.install_context(prev_ctx)
+                        except Exception as exc:
+                            failure = exc
                         finally:
-                            if trace is not None:
-                                tel.install_context(prev_ctx)
-                    except Exception as exc:
-                        stop.set()
-                        heartbeat.join()
+                            stop.set()
+                            heartbeat.join()
+                    if failure is not None:
+                        error = f"{type(failure).__name__}: {failure}"
                         tel.count("worker.errors")
                         if tel.enabled:
-                            tel.event(
-                                "worker.error",
-                                shard=shard_id,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
+                            tel.event("worker.error", shard=shard_id, error=error)
                         with lock:
                             send_frame(
                                 sock,
                                 {
                                     "type": "error",
                                     "shard_id": shard_id,
-                                    "message": f"{type(exc).__name__}: {exc}",
+                                    "message": error,
                                 },
                                 site="worker.send",
                             )
@@ -278,8 +323,6 @@ def run_worker(
                             break
                         completed += 1
                         continue
-                    stop.set()
-                    heartbeat.join()
                     shard_meta = (result.meta or {}).get("shard") or {}
                     stats = {
                         key: shard_meta[key]

@@ -227,7 +227,12 @@ class Graph:
         Per-vertex degree, ``degrees[u] == indptr[u + 1] - indptr[u]``.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "name")
+    # ``_digest`` memoises the wire content address (the arrays are
+    # read-only, so it is computed at most once); ``__weakref__`` lets
+    # the wire's topology store hold graphs without keeping them alive.
+    __slots__ = (
+        "n", "m", "indptr", "indices", "degrees", "name", "_digest", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -274,6 +279,7 @@ class Graph:
         self.indices = indices
         self.degrees = degrees
         self.name = name
+        self._digest = None
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
 
@@ -511,6 +517,7 @@ class Graph:
         g.indices = indices
         g.degrees = degrees
         g.name = name
+        g._digest = None
         for arr in (g.indptr, g.indices, g.degrees):
             arr.setflags(write=False)
         return g

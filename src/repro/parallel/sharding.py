@@ -478,8 +478,9 @@ def run_sharded(
     With ``endpoint`` set (a broker's ``host:port``) the same tasks —
     same plan, same spawned seeds — go through
     :func:`repro.distributed.execute_shards_remote` instead of a local
-    pool: the topology ships by value over the versioned wire format
-    (no shared memory), results are content-address cached per
+    pool: the topology ships over the versioned wire format as a
+    content-addressed blob, once per broker and once per worker (no
+    shared memory), results are content-address cached per
     ``cache``, and the merged output stays bit-for-bit identical to
     every local execution mode.
 

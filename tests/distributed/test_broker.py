@@ -10,6 +10,7 @@ sleeps (the live asyncio broker is covered end-to-end in
 import pytest
 
 from repro.distributed import ShardLedger
+from repro.distributed.broker import BlobStore
 
 
 def _ledger(**kw):
@@ -195,3 +196,46 @@ class TestJobLifecycle:
             ShardLedger(lease_timeout=0.0)
         with pytest.raises(ValueError):
             ShardLedger(max_attempts=0)
+
+
+class TestBlobStore:
+    def test_missing_and_put(self):
+        store = BlobStore()
+        assert store.missing(["a", "b", "a"]) == ["a", "b"]
+        store.put("a", "xxxx")
+        store.put("a", "xxxx")
+        assert store.missing(["a", "b"]) == ["b"]
+        assert store.snapshot() == {
+            "entries": 1, "bytes": 4, "cap_bytes": store.cap_bytes,
+            "sends": 0, "pushes": 2,
+        }
+        assert store.send("a") == "xxxx" and store.send("b") is None
+        assert store.sends == 1
+
+    def test_rejects_non_string_blobs(self):
+        with pytest.raises(TypeError):
+            BlobStore().put("a", {"kind": "graph"})
+
+    def test_evicts_only_unpinned_blobs_over_cap(self):
+        store = BlobStore(cap_bytes=8)
+        for digest in "abc":
+            store.put(digest, "x" * 4)
+        store.pin("job", ["a", "b"])
+        store.evict()
+        assert store.missing("abc") == ["c"]
+        assert store.bytes == 8
+        store.put("d", "x" * 4)
+        store.evict()  # over cap, but a and b are pinned and d is new
+        assert store.missing("abcd") == ["c", "d"]
+        store.put("d", "x" * 4)
+        store.pin("other", ["d"])
+        store.unpin("job")  # a, b free again: least recently used go first
+        assert store.missing("abcd") == ["a", "c"]
+        assert store.bytes == 8
+
+    def test_under_cap_keeps_everything(self):
+        store = BlobStore(cap_bytes=100)
+        store.put("a", "x" * 10)
+        store.pin("job", ["a"])
+        store.unpin("job")
+        assert store.missing(["a"]) == []

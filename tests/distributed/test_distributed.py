@@ -441,6 +441,122 @@ class TestCacheIntegration:
         assert len(cache) == 2 * before
 
 
+def _assert_same(got, reference):
+    assert got.rounds_run == reference.rounds_run
+    assert np.array_equal(got.finish_times, reference.finish_times)
+    assert np.array_equal(got.final_state, reference.final_state)
+
+
+class TestTopologyBlobs:
+    """Each topology crosses the wire once per broker and once per worker.
+
+    Graphs here use generator seeds no other test uses, and are built
+    after the workers fork, so a worker's topology store starts without
+    them and every blob it holds was fetched from the broker.
+    """
+
+    def test_lru_of_one_alternates_topologies_bit_identically(self, monkeypatch):
+        from repro.distributed import wire
+        from repro.engine.completion import AllVertices
+        from repro.parallel import run_shard
+
+        monkeypatch.setattr(wire, "TOPOLOGY_LRU_SIZE", 1)
+        with Broker(lease_timeout=15.0) as broker:
+            procs = _spawn_workers(broker.address, 1)
+            try:
+                graphs = [
+                    random_regular_graph(24, 4, rng=9001),
+                    random_regular_graph(24, 4, rng=9002),
+                ]
+                rule = CobraRule(make_policy(2))
+                state = _initial_state(rule, 24)[:MAX_SHARD]
+                seeds = np.random.SeedSequence(3).spawn(4)
+                # FIFO leasing to one worker: A, B, A, B.
+                tasks = [
+                    ShardTask(
+                        rule=rule,
+                        topology=graphs[i % 2],
+                        completion=AllVertices(),
+                        state=state,
+                        seed=seeds[i],
+                    )
+                    for i in range(4)
+                ]
+                got = execute_shards_remote(tasks, broker.address, cache=None)
+                status = broker.status_snapshot()
+            finally:
+                _reap(procs)
+        for task, result in zip(tasks, got):
+            _assert_same(result, run_shard(task))
+        assert status["blobs"]["pushes"] == 2
+        assert status["blobs"]["sends"] == 4  # evicted, so fetched again
+        assert status["metrics"]["requeues"] == 0
+        assert status["metrics"]["worker_errors"] == 0
+
+    def test_second_job_on_same_graph_ships_no_blob(self):
+        seen = []
+        with Broker(lease_timeout=15.0) as broker:
+            procs = _spawn_workers(broker.address, 1)
+            try:
+                graph = random_regular_graph(24, 4, rng=9003)
+                rule = CobraRule(make_policy(2))
+                engine = SpreadEngine(rule, graph)
+                state = _initial_state(rule, graph.n)
+                for seed in (1, 2):
+                    got = engine.run_distributed(
+                        state, seed, endpoint=broker.address,
+                        max_shard=MAX_SHARD, cache=None,
+                    )
+                    _assert_same(
+                        got,
+                        engine.run_sharded(
+                            state, seed, workers=1, max_shard=MAX_SHARD
+                        ),
+                    )
+                    seen.append(broker.status_snapshot()["blobs"])
+                counters = broker.metrics_extra()["counters"]
+            finally:
+                _reap(procs)
+        assert seen[0]["pushes"] == 1 and seen[0]["sends"] == 1
+        assert seen[1] == seen[0]
+        assert counters["broker.blob_pushes"] == counters["broker.blob_sends"] == 1
+
+    def test_restarted_broker_gets_its_blob_back_through_need(self):
+        # Fork the worker before any broker listens (a forked child
+        # would inherit the listening socket and pin the port); it
+        # dials with retries until the broker is up.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        procs = _spawn_workers(f"127.0.0.1:{port}", 1)
+        first = Broker(port=port, lease_timeout=15.0)
+        try:
+            first.start_in_thread()
+            graph = random_regular_graph(24, 4, rng=9004)
+            rule = CobraRule(make_policy(2))
+            engine = SpreadEngine(rule, graph)
+            state = _initial_state(rule, graph.n)
+            engine.run_distributed(
+                state, 1, endpoint=first.address, max_shard=MAX_SHARD, cache=None
+            )
+            assert first.status_snapshot()["blobs"]["pushes"] == 1
+            first.shutdown()
+            # Same endpoint, empty blob store; the worker re-dials.
+            with Broker(port=port, lease_timeout=15.0) as second:
+                got = engine.run_distributed(
+                    state, 2, endpoint=second.address,
+                    max_shard=MAX_SHARD, cache=None,
+                )
+                blobs = second.status_snapshot()["blobs"]
+        finally:
+            first.shutdown()
+            _reap(procs)
+        assert blobs["pushes"] == 1 and blobs["entries"] == 1
+        _assert_same(
+            got, engine.run_sharded(state, 2, workers=1, max_shard=MAX_SHARD)
+        )
+
+
 class TestTraceStitching:
     """Traced ``run_distributed`` produces one stitched span tree.
 

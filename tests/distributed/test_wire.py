@@ -23,7 +23,11 @@ from repro.distributed import (
     parse_endpoint,
     task_key,
 )
+from repro.distributed import wire
 from repro.distributed.wire import (
+    TOPOLOGIES,
+    TopologyStore,
+    WireDecodeError,
     _decode_array,
     _decode_seed,
     _decode_topology,
@@ -48,7 +52,7 @@ from repro.engine import (
     WalkRule,
 )
 from repro.engine.completion import AllActive, AllVertices, TargetHit
-from repro.graphs import petersen_graph, random_regular_graph
+from repro.graphs import Graph, petersen_graph, random_regular_graph
 from repro.parallel import ShardTask, run_shard
 
 
@@ -96,6 +100,20 @@ class TestArrays:
     def test_non_contiguous_array(self):
         arr = np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2]
         assert np.array_equal(_decode_array(_encode_array(arr)), arr)
+
+    def test_bool_arrays_are_bit_packed(self):
+        import base64
+
+        arr = np.zeros((4, 1001), dtype=bool)
+        arr[:, 0] = arr[2, 7::3] = True
+        obj = _encode_array(arr)
+        assert len(base64.b64decode(obj["data"])) == (arr.size + 7) // 8
+        back = _decode_array(obj)
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert np.array_equal(back, arr)
+        obj["data"] = base64.b64encode(b"\x00" * 3).decode("ascii")
+        with pytest.raises(ValueError, match="packed bool"):
+            _decode_array(obj)
 
 
 class TestSeeds:
@@ -290,6 +308,61 @@ class TestTasks:
         )
         assert task_key(flagged) != task_key(a)
 
+    def test_task_key_covers_the_csr(self):
+        # Equal n, m and name; different edges.
+        square = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        bowtie = Graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        refs = [_encode_topology(g) for g in (square, bowtie)]
+        assert {k: v for k, v in refs[0].items() if k != "digest"} == {
+            k: v for k, v in refs[1].items() if k != "digest"
+        }
+        state = np.zeros((6, 4), dtype=bool)
+        state[:, 0] = True
+        keys = {
+            task_key(
+                ShardTask(
+                    rule=CobraRule(make_policy(2)),
+                    topology=g,
+                    completion=AllVertices(),
+                    state=state,
+                    seed=np.random.SeedSequence(42),
+                )
+            )
+            for g in (square, bowtie)
+        }
+        assert len(keys) == 2
+
+    def test_unresolvable_ref_names_digest(self):
+        task = _task()
+        obj = encode_task(task)
+        obj["topology"]["digest"] = "0" * 64
+        with pytest.raises(WireDecodeError) as info:
+            decode_task(obj)
+        assert info.value.key == "digest"
+
+    def test_blob_install_checks_digest(self):
+        graph = _graph()
+        digest = TOPOLOGIES.register(graph)
+        blob = TOPOLOGIES.blob(digest)
+        store = TopologyStore()
+        with pytest.raises(WireDecodeError) as info:
+            store.install("0" * 64, blob)
+        assert info.value.key == "digest"
+        assert store.get("0" * 64) is None
+        assert store.install(digest, blob) == graph
+        assert store.get(digest) == graph
+
+    def test_blob_lru_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(wire, "TOPOLOGY_LRU_SIZE", 2)
+        graphs = [random_regular_graph(20, 4, rng=r) for r in (1, 2, 3)]
+        digests = [TOPOLOGIES.register(g) for g in graphs]
+        store = TopologyStore()
+        store.install(digests[0], TOPOLOGIES.blob(digests[0]))
+        store.install(digests[1], TOPOLOGIES.blob(digests[1]))
+        store.get(digests[0])  # now the most recently used
+        store.install(digests[2], TOPOLOGIES.blob(digests[2]))
+        assert [store.get(d) is not None for d in digests] == [True, False, True]
+
     def test_result_round_trip(self):
         task = _task(track_hits=True, record_sizes=True, record_visited=True)
         ref = run_shard(task)
@@ -325,7 +398,8 @@ class TestTasks:
     def test_default_encoding_has_no_backend_key(self):
         """Tasks without a hint encode exactly as before the key
         existed: same bytes, same cache address, no version bump."""
-        encoded = encode_task(_task())
+        task = _task()  # keeps the graph, and so its ref, resolvable
+        encoded = encode_task(task)
         assert "backend" not in encoded
         assert decode_task(encoded).backend is None
         assert encoded["v"] == WIRE_VERSION
@@ -345,7 +419,7 @@ class TestAttachTrace:
         assert out is frame
         assert json.dumps(frame, sort_keys=True) == reference
         assert "trace" not in frame
-        assert WIRE_VERSION == 1
+        assert WIRE_VERSION == 2
 
     def test_context_attaches_wire_dict(self):
         from repro.telemetry import TraceContext
