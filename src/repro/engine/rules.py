@@ -1,32 +1,31 @@
 """Spread rules: the per-round gather/scatter kernels of the engine.
 
 A :class:`SpreadRule` advances ``R`` independent runs one round inside
-a single flattened index program over the CSR arrays (reusing
-:meth:`repro.graphs.Graph.sample_neighbors` for every random neighbour
-draw).  The engine layer owns the loop, the visited set, hit times and
-completion; a rule owns only its state array and one ``step``.
+a single flattened index program over the CSR arrays, mapping uniforms
+to neighbours through :meth:`repro.graphs.Graph.neighbors_at`.  The
+engine layer owns the loop, the visited set, hit times and completion;
+a rule owns only its state array and one ``step``.
 
-Seed-for-seed contract
-----------------------
-The kernels here are the pre-refactor engines' inner loops moved
-verbatim, so the thin wrappers in :mod:`repro.core`,
-:mod:`repro.baselines` and :mod:`repro.dynamics` reproduce the seed
-engines' samples bit-for-bit under identical generators (the
-regression tests in ``tests/engine/test_seed_equivalence.py`` pin
-this).  In particular:
+Draw-stream contract
+--------------------
+A rule promises its draw stream — which uniforms, how many, in what
+order — not its code.  The streams are the pre-engine processes', so
+the wrappers in :mod:`repro.core`, :mod:`repro.baselines` and
+:mod:`repro.dynamics` reproduce the seed engines' samples bit-for-bit
+(pinned by ``tests/engine/test_seed_equivalence.py``, and for the COBRA
+and BIPS kernels by ``tests/engine/test_kernel_stream.py``):
 
-* ``CobraRule`` consumes randomness only for *alive* runs (finished
-  rows are dropped from the work list before any draw), matching the
-  original ``CobraProcess.run_batch``;
-* ``BipsRule`` in its ``"batch"`` discipline draws for *every* row and
-  freezes finished rows afterwards, matching the original
-  ``BipsProcess.run_batch``; its ``"single"`` discipline reproduces the
-  original single-run ``step`` (whose Bernoulli second-selection draws
-  come in a different order than the batch kernel's);
-* degree-zero vertices (churned-out peers in dynamic snapshots) are
-  handled exactly as :mod:`repro.dynamics` did: COBRA particles and
-  walkers hold their position, BIPS restricts selections to present
-  vertices.
+* ``CobraRule`` draws only for *alive* runs' movers in row-major
+  ``(run, vertex)`` order: branch counts, then a neighbour uniform per
+  selection, then (lazy) a coin per selection, blocks actor-major;
+* ``BipsRule``'s ``"batch"`` discipline draws for *every* row, then
+  freezes finished rows: per selection an ``(R, k)`` block of uniforms
+  over the ``k`` degree-positive vertices, then (lazy) its coins, then
+  (Bernoulli second selection) its participation coins.  ``"single"``
+  reproduces the historical single-run ``step``, which draws the
+  participation mask first and only for the participants;
+* degree-zero vertices (churned-out peers in dynamic snapshots) draw
+  nothing: COBRA particles and walkers hold their position.
 
 Rules are deliberately policy-agnostic about branching: they duck-type
 :class:`repro.core.branching.BranchingPolicy` through its
@@ -85,7 +84,7 @@ def select_targets(
     """One uniform neighbour per actor; lazy selections keep the actor.
 
     The draw order (neighbour uniforms first, then the lazy coin) is
-    part of the seed-for-seed contract — every engine in the repo has
+    part of the draw-stream contract — every engine in the repo has
     always consumed randomness in this order.
     """
     targets = graph.sample_neighbors(actors, rng)
@@ -165,23 +164,33 @@ class CobraRule(SpreadRule):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """One branching round; finished runs are dropped from the work."""
-        work = state & alive[:, None]
-        if graph.dmin == 0:
-            can_move = graph.degrees > 0
-            movers = work & can_move[None, :]
-            stranded = work & ~can_move[None, :]
-        else:
-            movers, stranded = work, None
-        rows, verts = np.nonzero(movers)
+        runs, n = state.shape
+        work = state if alive.all() else state & alive[:, None]
+        flat = np.flatnonzero(work)
+        base = np.repeat(np.arange(0, runs * n, n), np.count_nonzero(work, axis=1))
+        verts = flat - base
+        out = np.zeros(state.size, dtype=bool)
+        if graph.dmin == 0:  # stranded degree-zero actors hold position
+            held = graph.degrees[verts] == 0
+            out[flat[held]] = True
+            verts, base = verts[~held], base[~held]
         counts = self.policy.draw_counts(verts.shape[0], rng)
-        rows_rep = np.repeat(rows, counts)
-        actors = np.repeat(verts, counts)
-        targets = select_targets(graph, actors, rng, self.lazy)
-        nxt = np.zeros_like(state)
-        nxt[rows_rep, targets] = True
-        if stranded is not None:
-            nxt |= stranded
-        return nxt
+        b = self.policy.fixed_selection_count()
+        first = None if b else np.cumsum(counts) - counts
+        u = rng.random(int(counts.sum()))
+        stay = rng.random(u.shape[0]) < 0.5 if self.lazy else None
+        for j in range(int(counts.max(initial=0))):  # every actor's j-th pick
+            if b:  # a strided column of the actor-major (k, b) draw block
+                actors, rows, draw = verts, base, slice(j, None, b)
+            else:  # ragged counts: the actors making more than j selections
+                keep = counts > j
+                actors, rows, draw = verts[keep], base[keep], first[keep] + j
+            targets = graph.neighbors_at(actors, u[draw])
+            if self.lazy:
+                targets = np.where(stay[draw], actors, targets)
+            targets += rows
+            out[targets] = True
+        return out.reshape(state.shape)
 
     def occupancy(self, state: np.ndarray, n: int) -> np.ndarray:
         """The active mask *is* the occupancy."""
@@ -269,42 +278,33 @@ class BipsRule(SpreadRule):
     def _next_batch(
         self, graph: Graph, infected: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Historical batch round on an ``(R, n)`` mask (all rows drawn)."""
+        """Batch round on an ``(R, n)`` mask (all rows drawn)."""
         runs, n = infected.shape
+        live = np.arange(n) if graph.dmin >= 1 else np.flatnonzero(graph.degrees > 0)
+        k = live.shape[0]
+        row_base = np.arange(0, runs * n, n, dtype=np.int64)[:, None]
+
+        def pull() -> np.ndarray:  # is each live vertex's pick infected?
+            picks = graph.neighbors_at(live, rng.random((runs, k)))
+            if self.lazy:
+                picks = np.where(rng.random((runs, k)) < 0.5, live, picks)
+            picks += row_base
+            return infected.reshape(-1)[picks]
+
         fixed_b = self.policy.fixed_selection_count()
-        if graph.dmin >= 1:
-            verts_tile = np.tile(np.arange(n, dtype=np.int64), runs)
-            pick = self._select(graph, verts_tile, rng).reshape(runs, n)
-            nxt = np.take_along_axis(infected, pick, axis=1)
-            if fixed_b is not None:
-                for _ in range(fixed_b - 1):
-                    pick = self._select(graph, verts_tile, rng).reshape(runs, n)
-                    nxt |= np.take_along_axis(infected, pick, axis=1)
-            else:
-                p2 = self.policy.second_selection_probability()
-                if p2 > 0.0:
-                    pick = self._select(graph, verts_tile, rng).reshape(runs, n)
-                    second = rng.random((runs, n)) < p2
-                    nxt |= np.take_along_axis(infected, pick, axis=1) & second
+        got = pull()
+        if fixed_b is not None:
+            for _ in range(fixed_b - 1):
+                got |= pull()
         else:
-            live = np.nonzero(graph.degrees > 0)[0]
+            p2 = self.policy.second_selection_probability()
+            if p2 > 0.0:  # the picks draw before the participation coins
+                got |= pull() & (rng.random((runs, k)) < p2)
+        if k == n:
+            nxt = got
+        else:
             nxt = np.zeros_like(infected)
-            if live.size:
-                k = live.shape[0]
-                live_tile = np.tile(live, runs)
-                pick = self._select(graph, live_tile, rng).reshape(runs, k)
-                nxt[:, live] = np.take_along_axis(infected, pick, axis=1)
-                if fixed_b is not None:
-                    for _ in range(fixed_b - 1):
-                        pick = self._select(graph, live_tile, rng).reshape(runs, k)
-                        nxt[:, live] |= np.take_along_axis(infected, pick, axis=1)
-                else:
-                    p2 = self.policy.second_selection_probability()
-                    if p2 > 0.0:
-                        pick = self._select(graph, live_tile, rng).reshape(runs, k)
-                        second = rng.random((runs, k)) < p2
-                        sel = np.take_along_axis(infected, pick, axis=1) & second
-                        nxt[:, live] |= sel
+            nxt[:, live] = got
         nxt[:, self.source] = True
         return nxt
 

@@ -353,22 +353,57 @@ class Graph:
             If any requested vertex is isolated (degree zero).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        degs = self._checked_degrees(vertices)
+        # Draws land in reusable scratch: ``Generator.random(out=...)``
+        # fills from the same stream as ``random(k)`` — bit-identical
+        # to the allocating form (pinned in tests/graphs).  The guard
+        # above fires before any draw, so a refused call leaves the
+        # stream untouched.
+        u = _SCRATCH.floats(vertices.shape[0])
+        rng.random(out=u)
+        return self._lookup(vertices, degs, u)
+
+    def neighbors_at(self, vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The neighbour of each vertex that the uniform ``u`` selects.
+
+        Returns ``indices[indptr[v] + trunc(u * deg[v])]`` elementwise
+        over ``vertices`` and ``u`` broadcast together, with ``u`` in
+        ``[0, 1)``: ``trunc(u * d)`` is uniform on ``{0, .., d-1}`` for
+        ``u ~ U[0, 1)``.  Draws nothing, so callers that lay out their
+        own uniforms (e.g. a ``(R, k)`` block against ``k`` vertices)
+        gather each vertex's CSR row once for every draw broadcast
+        against it.
+
+        Raises
+        ------
+        ValueError
+            If any requested vertex is isolated (degree zero).
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        return self._lookup(vertices, self._checked_degrees(vertices), u)
+
+    def _checked_degrees(self, vertices: np.ndarray) -> np.ndarray:
+        """``degrees[vertices]``, refusing isolated vertices."""
         degs = self.degrees[vertices]
         if degs.size and int(degs.min()) == 0:
             raise ValueError("cannot sample a neighbour of an isolated vertex")
-        # floor(u * d) is uniform on {0, .., d-1} for u ~ U[0, 1).
-        # Draws land in reusable scratch: ``Generator.random(out=...)``
-        # fills from the same stream as ``random(k)``, and the int64
-        # cast-assign truncates exactly like ``astype`` — bit-identical
-        # to the allocating form (pinned in tests/graphs), minus two
-        # heap allocations per round.
-        k = vertices.shape[0]
-        u = _SCRATCH.floats(k)
-        rng.random(out=u)
-        np.multiply(u, degs, out=u)
-        offsets = _SCRATCH.ints(k)
-        offsets[:] = u
-        np.add(self.indptr[vertices], offsets, out=offsets)
+        return degs
+
+    def _lookup(
+        self, vertices: np.ndarray, degs: np.ndarray, u: np.ndarray
+    ) -> np.ndarray:
+        """The CSR lookup behind :meth:`neighbors_at` (no guard)."""
+        shape = np.broadcast_shapes(vertices.shape, np.shape(u))
+        size = int(np.prod(shape))
+        # Both intermediates land in grow-only scratch, and the int64
+        # cast-assign truncates exactly like ``astype``.  ``u`` may be
+        # the float scratch itself (``sample_neighbors``); the in-place
+        # multiply is elementwise, so that aliasing is safe.
+        scaled = _SCRATCH.floats(size).reshape(shape)
+        np.multiply(u, degs, out=scaled)
+        offsets = _SCRATCH.ints(size).reshape(shape)
+        offsets[...] = scaled
+        offsets += self.indptr[vertices]
         return self.indices[offsets]
 
     # ------------------------------------------------------------------
@@ -559,15 +594,16 @@ class Graph:
 class _Scratch:
     """Grow-only reusable buffers for the per-call sampling hot path.
 
-    :meth:`Graph.sample_neighbors` runs every round of every gossip
-    process; its two intermediate arrays (the uniform draws and the
-    integer offsets) used to be fresh heap allocations per call.  One
-    module-level instance hands out views of persistent buffers that
-    only ever grow.  The views are valid until the *next* request of
-    the same dtype — callers must finish with them within the call —
-    and the whole scheme assumes the engine's single-threaded-process
-    execution model (process pools get a fresh copy per worker; threads
-    sharing one interpreter would race).
+    :meth:`Graph.sample_neighbors` and :meth:`Graph.neighbors_at` run
+    every round of every spread process; their two intermediate arrays
+    (the scaled uniforms and the integer offsets) used to be fresh heap
+    allocations per call.  One module-level instance hands out views
+    of persistent buffers that only ever grow.  The views are valid
+    until the *next* request of the same dtype — callers must finish
+    with them within the call — and the whole scheme assumes the
+    engine's single-threaded-process execution model (process pools
+    get a fresh copy per worker; threads sharing one interpreter would
+    race).
     """
 
     def __init__(self) -> None:
