@@ -17,11 +17,13 @@ Subcommands::
     repro bench migrate                       # normalize old BENCH schemas
     repro chaos [--smoke] [--seed N]          # seeded fault-injection matrix
 
-Experiment output is the table(s) plus the pass/fail shape checks from
-DESIGN.md.  ``cover`` / ``trajectory`` / ``dynamics`` accept
-``--endpoint host:port`` to fan their runs out over a broker's worker
-fleet (results bit-identical to local execution; shard results are
-content-address cached under ``REPRO_CACHE_DIR``).  Every execution
+Experiment output is the table(s) plus the pass/fail shape checks (see
+the README's Quickstart and Reproducibility contract).  ``cover`` /
+``trajectory`` / ``dynamics`` / ``adversary`` share ``--workers N`` to
+shard their runs over local processes and ``--endpoint host:port`` to
+fan them out over a broker's worker fleet (results bit-identical to
+local execution; shard results are content-address cached under
+``REPRO_CACHE_DIR``).  Every execution
 command accepts ``--telemetry PATH`` (or ``REPRO_TELEMETRY``) to
 stream a structured JSONL trace without perturbing any result, and
 ``--kernel-backend`` (or ``REPRO_KERNEL_BACKEND``) to force the
@@ -120,6 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_FALLBACK)",
     )
 
+    # Shared by the commands whose runs go through the shard pipeline
+    # (repro.parallel.run_sharded): local pool or broker fleet.
+    shard = argparse.ArgumentParser(add_help=False)
+    shard.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="shard the runs over this many worker processes (per-shard "
+        "spawned seeds; results identical at any worker count; default: "
+        "the single-stream serial path)",
+    )
+    shard.add_argument(
+        "--endpoint",
+        default=None,
+        metavar="HOST:PORT",
+        help="run the shards on a 'repro broker' worker fleet instead of "
+        "local processes (results bit-identical; overrides --workers)",
+    )
+
     sub.add_parser("list", help="list registered experiments")
 
     run_p = sub.add_parser(
@@ -147,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover_p = sub.add_parser(
         "cover",
         help="measure COBRA cover time on a named graph or edge list",
-        parents=[tel, res],
+        parents=[tel, res, shard],
     )
     cover_p.add_argument(
         "spec", help="graph spec (as graph-info) or a path to an edge-list file"
@@ -159,26 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--lazy", action="store_true", help="use the lazy variant (bipartite fix)"
     )
     cover_p.add_argument("--seed", type=int, default=0)
-    cover_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the runs over this many worker processes (shared-memory "
-        "CSR graph, per-shard spawned seeds; results identical at any "
-        "worker count, default: single-stream serial path)",
-    )
-    cover_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the shards on a 'repro broker' worker fleet instead of "
-        "local processes (results bit-identical; overrides --workers)",
-    )
 
     traj_p = sub.add_parser(
         "trajectory",
         help="render a BIPS infection / COBRA coverage trajectory chart",
-        parents=[tel, res],
+        parents=[tel, res, shard],
     )
     traj_p.add_argument("spec", help="graph spec (as graph-info)")
     traj_p.add_argument(
@@ -188,25 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     traj_p.add_argument("--runs", type=int, default=60)
     traj_p.add_argument("--lazy", action="store_true")
     traj_p.add_argument("--seed", type=int, default=0)
-    traj_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the recorded engine pass "
-        "(default: serial; the series are identical at any count)",
-    )
-    traj_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the recorded pass on a 'repro broker' worker fleet "
-        "(series identical to local execution)",
-    )
 
     dyn_p = sub.add_parser(
         "dynamics",
         help="measure COBRA cover / BIPS infection on a time-evolving graph",
-        parents=[tel, res],
+        parents=[tel, res, shard],
     )
     dyn_p.add_argument(
         "--family",
@@ -249,30 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw an independent topology realisation per run (slow "
         "scalar loop) instead of the default batched runner, which "
-        "advances all runs on one shared realisation at hardware speed",
-    )
-    dyn_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the batched runner over this many worker processes, "
-        "each shard realising its sequence locally from a spawned seed "
-        "(ignored with --independent; results identical at any count)",
-    )
-    dyn_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the shards on a 'repro broker' worker fleet, each remote "
-        "worker re-realising its shard's sequence from the wire-encoded "
-        "seed (ignored with --independent)",
+        "advances all runs on one shared realisation at hardware speed; "
+        "not combinable with --workers/--endpoint, under which each shard "
+        "realises its own sequence from a spawned seed",
     )
 
     adv_p = sub.add_parser(
         "adversary",
         help="measure worst-case cover/infection against an adaptive "
         "adversary rewiring against the observed frontier",
-        parents=[tel, res],
+        parents=[tel, res, shard],
     )
     adv_p.add_argument(
         "--family",
@@ -321,25 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batched",
         action="store_true",
         help="advance all runs on shared per-shard realisations (the "
-        "batched engine; enables --workers/--endpoint) instead of the "
-        "default per-run loop, where the adversary fights each run's "
-        "own frontier — the worst-case statistic E17 reports",
-    )
-    adv_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="with --batched: shard the runs over this many worker "
-        "processes (each shard realises its own adversarial sequence "
-        "from a spawned seed; results identical at any count)",
-    )
-    adv_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --batched: run the shards on a 'repro broker' worker "
-        "fleet — adversarial sequences ship as seeded replay specs and "
-        "the samples stay bit-identical to local execution",
+        "batched engine; required by --workers/--endpoint, under which "
+        "each shard realises its own adversarial sequence) instead of "
+        "the default per-run loop, where the adversary fights each "
+        "run's own frontier — the worst-case statistic E17 reports",
     )
 
     status_p = sub.add_parser(
@@ -798,6 +761,8 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         raise SystemExit("--rate must be in [0, 1]")
     if args.runs < 1:
         raise SystemExit("--runs must be >= 1")
+    if args.independent and (args.workers is not None or args.endpoint is not None):
+        raise SystemExit("--workers/--endpoint cannot be combined with --independent")
     try:
         base = _dynamics_base_graph(args)
     except ValueError as exc:
@@ -812,13 +777,13 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         sample_infec = dynamic_infection_time_batch
         mode = "batched (R, n) engine, shared realisation"
     extra = {}
-    if not args.independent and args.workers is not None:
+    if args.workers is not None:
         extra["workers"] = args.workers
         mode = (
             f"sharded (R, n) engine, {args.workers} workers, "
             "shard-local realisations"
         )
-    if not args.independent and args.endpoint is not None:
+    if args.endpoint is not None:
         extra["endpoint"] = args.endpoint
         mode = (
             f"distributed (R, n) engine via broker {args.endpoint}, "

@@ -22,11 +22,10 @@ task unit (rule + topology + spawned seed — see
 
 Determinism contract: the shard plan and per-shard spawned seeds are
 computed before any transport is involved, so
-:func:`run_distributed` (also surfaced as
+:func:`repro.parallel.run_sharded` with ``endpoint=`` (surfaced as
 :meth:`repro.engine.SpreadEngine.run_distributed` and the CLI's
-``--endpoint``) returns results bit-for-bit identical to
-:meth:`repro.engine.SpreadEngine.run_sharded` at any worker count,
-arrival order, or mid-run worker death.
+``--endpoint``) returns results bit-for-bit identical to its local
+execution at any worker count, arrival order, or mid-run worker death.
 """
 
 from .broker import Broker, ShardLedger, ShardRecord
@@ -42,7 +41,6 @@ from .client import (
     broker_status,
     execute_shards_remote,
     execute_shards_resilient,
-    run_distributed,
     transport_snapshot,
 )
 from .wire import (
@@ -74,7 +72,6 @@ __all__ = [
     "transport_snapshot",
     "execute_shards_remote",
     "execute_shards_resilient",
-    "run_distributed",
     "run_worker",
     "WIRE_VERSION",
     "WireDecodeError",

@@ -7,8 +7,9 @@ input order) — so :func:`repro.parallel.run_sharded` can swap one for
 the other and keep its planning, seeding and merging untouched.  That
 is the determinism argument in one line: the shard plan and the
 spawned seeds are computed *before* the transport is chosen, so
-``run_distributed`` over any broker, any worker count and any arrival
-order is bit-for-bit identical to ``run_sharded(workers=1)``.
+``run_sharded(endpoint=...)`` over any broker, any worker count and
+any arrival order is bit-for-bit identical to
+``run_sharded(workers=1)``.
 
 Topologies reach the broker by reference: a submit lists the digests
 of the graphs its tasks refer to, and only when the broker answers
@@ -48,7 +49,6 @@ from ..resilience import (
     JobCheckpoint,
     RetryError,
     breaker_for,
-    execute_shards_checkpointed,
     resolve_checkpoint,
     resolve_fallback,
     resolve_retry,
@@ -74,7 +74,6 @@ __all__ = [
     "BrokerUnavailable",
     "execute_shards_remote",
     "execute_shards_resilient",
-    "run_distributed",
     "broker_status",
     "transport_snapshot",
 ]
@@ -380,8 +379,6 @@ def execute_shards_resilient(
     retry="default",
     checkpoint="default",
     fallback="default",
-    mp_context: str | None = None,
-    schedule: str = "static",
     timeout: float | None = None,
     connect_timeout: float = 10.0,
 ) -> list:
@@ -390,9 +387,10 @@ def execute_shards_resilient(
     Runs :func:`execute_shards_remote`; if (and only if) that fails
     with :class:`BrokerUnavailable` — retries exhausted or the
     endpoint's circuit breaker open — and the resolved fallback mode is
-    ``"local"``, the same tasks complete via the in-process pool
-    (checkpointed when a manifest is configured), bit-identical by the
-    per-shard seed contract.  Logical job failures always propagate.
+    ``"local"``, the same tasks complete on this host through the local
+    tier :func:`repro.parallel.run_sharded` uses (checkpointed when a
+    manifest is configured), bit-identical by the per-shard seed
+    contract.  Logical job failures always propagate.
     """
     fallback_mode = resolve_fallback(fallback)
     try:
@@ -417,80 +415,11 @@ def execute_shards_resilient(
                 mode="local",
                 cause=str(exc),
             )
-        checkpoint_path = resolve_checkpoint(checkpoint)
-        if checkpoint_path is not None:
-            return execute_shards_checkpointed(
-                tasks,
-                workers=workers or 1,
-                cache=cache,
-                checkpoint=checkpoint_path,
-                mp_context=mp_context,
-            )
-        from ..parallel.sharding import execute_shards
+        from ..parallel.sharding import _execute_local
 
-        return execute_shards(
-            tasks, workers, mp_context=mp_context, schedule=schedule
+        return _execute_local(
+            tasks, workers, cache=cache, checkpoint=resolve_checkpoint(checkpoint)
         )
-
-
-def run_distributed(
-    rule,
-    topology,
-    completion,
-    state,
-    seed,
-    *,
-    endpoint,
-    workers: int | None = None,
-    max_rounds: int | None = None,
-    track_hits: bool = False,
-    record_sizes: bool = False,
-    record_visited: bool = False,
-    budget_bytes: int | None = None,
-    max_shard: int | None = None,
-    cache="auto",
-    retry="default",
-    checkpoint="default",
-    fallback="default",
-):
-    """Shard one engine invocation's R axis across a broker's workers.
-
-    The drop-in distributed sibling of
-    :func:`repro.parallel.run_sharded` — identical signature semantics
-    plus ``endpoint`` (the broker's ``host:port``), ``cache``, and the
-    resilience knobs (``retry``, ``checkpoint``, ``fallback``).
-    The shard plan and per-shard spawned seeds are the same pure
-    functions of the arguments, so the merged
-    :class:`~repro.engine.SpreadResult` is bit-for-bit identical to
-    ``run_sharded`` at any worker count and any shard arrival order
-    (``workers`` is accepted for signature compatibility and ignored —
-    parallelism is however many workers the broker has).
-    """
-    from ..parallel.sharding import run_sharded
-
-    kwargs = {}
-    if budget_bytes is not None:
-        kwargs["budget_bytes"] = int(budget_bytes)
-    if max_shard is not None:
-        kwargs["max_shard"] = int(max_shard)
-    del workers  # broker-side parallelism; accepted for mirror-signature only
-    return run_sharded(
-        rule,
-        topology,
-        completion,
-        state,
-        seed,
-        max_rounds=max_rounds,
-        track_hits=track_hits,
-        record_sizes=record_sizes,
-        record_visited=record_visited,
-        endpoint=endpoint,
-        cache=cache,
-        retry=retry,
-        checkpoint=checkpoint,
-        fallback=fallback,
-        **kwargs,
-    )
 
 
 def transport_snapshot() -> dict:

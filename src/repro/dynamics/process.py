@@ -32,9 +32,11 @@ import numpy as np
 
 from ..core.branching import BranchingPolicy, make_policy
 from ..core.state import BipsResult, CobraResult
+from ..engine.completion import make_completion
 from ..engine.engine import SpreadEngine
 from ..engine.rules import BipsRule, CobraRule, select_targets
 from ..graphs.graph import Graph
+from ..parallel.sharding import finished_times_or_raise, run_sharded
 from ..stats.rng import spawn_seeds
 from .sequence import GraphSequence
 
@@ -376,81 +378,27 @@ def _resolve_sequence(sequence, topology_seed, *, fresh: bool = False) -> GraphS
     raise TypeError("expected a GraphSequence or a factory seed -> GraphSequence")
 
 
-def _sharded_dynamic_times(
-    sequence,
-    runs: int,
-    rule,
-    start_column: int,
-    seed,
-    *,
-    max_rounds: int | None,
-    completion: str,
-    workers: int | None,
-    endpoint: str | None = None,
-    cache="auto",
-    what: str,
-) -> np.ndarray:
-    """Shard a dynamic batched sampler over worker processes.
+def _one_hot_shard_input(sequence, seed, runs: int, column: int):
+    """The ``(factory, state)`` pair a sharded dynamic sampler hands on.
 
-    Each shard realises its *own* :class:`GraphSequence` from the
-    topology half of its spawned seed pair (so a factory argument
-    yields one independent realisation per shard — between the single
-    shared realisation of the plain batch path and the one-per-run of
-    the scalar samplers); a plain :class:`GraphSequence` argument is
-    shared by every shard, preserving quenched semantics.  The shard
-    plan and seeds are independent of ``workers``, so the returned
-    samples are identical at any worker count.  With ``endpoint`` set,
-    the same tasks go to a :mod:`repro.distributed` broker — each
-    remote worker re-realises its shard's sequence from the wire-
-    encoded seed pair — and the samples stay identical.
+    A probe realisation pins ``n`` (and validates ``column``) before
+    :func:`repro.parallel.run_sharded` spawns any shard seed from the
+    master.  A plain :class:`GraphSequence` is wrapped as a constant
+    factory, so every shard replays the same realisation (quenched
+    semantics); a factory yields one independent realisation per shard
+    — between the single shared realisation of the plain batch path and
+    the one-per-run of the scalar samplers.
     """
-    from ..engine.completion import make_completion
-    from ..parallel.sharding import (
-        ShardTask,
-        execute_shards,
-        finished_times_or_raise,
-        merge_shard_results,
-        plan_shards,
-    )
-
-    # A probe realisation pins n (and validates the start vertex)
-    # without consuming any shard's seeds.
     probe_topo, _ = batch_seed_pair(seed)
     n = _resolve_sequence(sequence, probe_topo).n
-    start_column = int(start_column)
-    if not 0 <= start_column < n:
-        raise ValueError(f"vertex {start_column} out of range [0, {n})")
-
-    shard_sizes = plan_shards(rule, int(runs), n)
-    criterion = make_completion(completion)
-    tasks = []
-    for shard_seed, r in zip(spawn_seeds(seed, len(shard_sizes)), shard_sizes):
-        topo_seed, proc_seed = batch_seed_pair(shard_seed)
-        state = np.zeros((r, n), dtype=bool)
-        state[:, start_column] = True
-        tasks.append(
-            ShardTask(
-                rule=rule,
-                topology=_resolve_sequence(sequence, topo_seed, fresh=True),
-                completion=criterion,
-                state=state,
-                seed=proc_seed,
-                max_rounds=max_rounds,
-            )
-        )
-    if endpoint is not None:
-        # The resilient entry point inherits the process-wide retry /
-        # checkpoint / fallback configuration, so a dying broker
-        # degrades a dynamic sweep exactly like a static one.
-        from ..distributed.client import execute_shards_resilient
-
-        results = execute_shards_resilient(
-            tasks, endpoint, workers=workers, cache=cache
-        )
-    else:
-        results = execute_shards(tasks, workers)
-    res = merge_shard_results(results)
-    return finished_times_or_raise(res.finish_times, f"sharded dynamic {what}")
+    column = int(column)
+    if not 0 <= column < n:
+        raise ValueError(f"vertex {column} out of range [0, {n})")
+    state = np.zeros((int(runs), n), dtype=bool)
+    state[:, column] = True
+    if isinstance(sequence, GraphSequence):
+        return (lambda _: sequence), state
+    return sequence, state
 
 
 def dynamic_cover_time_samples(
@@ -553,22 +501,24 @@ def dynamic_cover_time_batch(
     ``endpoint`` sends the same shards to a :mod:`repro.distributed`
     broker instead (``cache`` as in
     :func:`repro.distributed.execute_shards_remote`); samples match
-    the local sharded path bit-for-bit.
+    the local sharded path bit-for-bit.  Both honour the process-wide
+    resilience settings of :func:`repro.resilience.configure`, so a
+    configured checkpoint makes a rerun resume from ``cache``.
     """
     if workers is not None or endpoint is not None:
-        return _sharded_dynamic_times(
-            sequence,
-            runs,
+        factory, state = _one_hot_shard_input(sequence, seed, runs, start)
+        res = run_sharded(
             CobraRule(make_policy(branching), lazy=lazy),
-            int(start),
+            factory,
+            make_completion(completion),
+            state,
             seed,
+            workers=workers,
             max_rounds=max_rounds,
-            completion=completion,
-            workers=None if workers is None else int(workers),
             endpoint=endpoint,
             cache=cache,
-            what="COBRA",
         )
+        return finished_times_or_raise(res.finish_times, "sharded dynamic COBRA")
     topo_seed, proc_seed = batch_seed_pair(seed)
     seq = _resolve_sequence(sequence, topo_seed, fresh=True)
     proc = DynamicCobraProcess(seq, branching, lazy=lazy)
@@ -609,19 +559,19 @@ def dynamic_infection_time_batch(
     realisations (see :func:`dynamic_cover_time_batch`).
     """
     if workers is not None or endpoint is not None:
-        return _sharded_dynamic_times(
-            sequence,
-            runs,
+        factory, state = _one_hot_shard_input(sequence, seed, runs, source)
+        res = run_sharded(
             BipsRule(make_policy(branching), int(source), lazy=lazy),
-            int(source),
+            factory,
+            make_completion(completion),
+            state,
             seed,
+            workers=workers,
             max_rounds=max_rounds,
-            completion=completion,
-            workers=None if workers is None else int(workers),
             endpoint=endpoint,
             cache=cache,
-            what="BIPS",
         )
+        return finished_times_or_raise(res.finish_times, "sharded dynamic BIPS")
     topo_seed, proc_seed = batch_seed_pair(seed)
     seq = _resolve_sequence(sequence, topo_seed, fresh=True)
     proc = DynamicBipsProcess(seq, source, branching, lazy=lazy)

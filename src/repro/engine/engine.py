@@ -443,10 +443,7 @@ class SpreadEngine:
         track_hits: bool = False,
         record_sizes: bool = False,
         record_visited: bool = False,
-        budget_bytes: int | None = None,
         max_shard: int | None = None,
-        mp_context: str | None = None,
-        schedule: str = "static",
         endpoint: str | None = None,
         cache="auto",
         backend: str | None = None,
@@ -480,10 +477,7 @@ class SpreadEngine:
         and stamped on every shard task; each shard's engine honours it
         exactly as :meth:`run` does.
 
-        ``schedule="completion"`` switches the local pool to
-        completion-order dispatch (idle workers steal the next shard
-        immediately; results re-keyed by shard index, so output is
-        unchanged).  ``endpoint`` routes the same shard plan through a
+        ``endpoint`` routes the same shard plan through a
         :mod:`repro.distributed` broker instead of a local pool — see
         :meth:`run_distributed`.  ``retry`` / ``checkpoint`` /
         ``fallback`` are the resilience knobs threaded to
@@ -493,8 +487,6 @@ class SpreadEngine:
         from ..parallel import sharding
 
         kwargs = {}
-        if budget_bytes is not None:
-            kwargs["budget_bytes"] = int(budget_bytes)
         if max_shard is not None:
             kwargs["max_shard"] = int(max_shard)
         return sharding.run_sharded(
@@ -508,8 +500,6 @@ class SpreadEngine:
             track_hits=track_hits,
             record_sizes=record_sizes,
             record_visited=record_visited,
-            mp_context=mp_context,
-            schedule=schedule,
             endpoint=endpoint,
             cache=cache,
             backend=backend,
@@ -530,7 +520,6 @@ class SpreadEngine:
         track_hits: bool = False,
         record_sizes: bool = False,
         record_visited: bool = False,
-        budget_bytes: int | None = None,
         max_shard: int | None = None,
         cache="auto",
         backend: str | None = None,
@@ -561,7 +550,6 @@ class SpreadEngine:
             track_hits=track_hits,
             record_sizes=record_sizes,
             record_visited=record_visited,
-            budget_bytes=budget_bytes,
             max_shard=max_shard,
             endpoint=endpoint,
             cache=cache,

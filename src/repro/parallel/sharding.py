@@ -4,21 +4,25 @@ One :class:`~repro.engine.SpreadEngine` invocation advances ``R``
 independent runs, but on one core.  This module splits the R axis into
 *shards* — contiguous run blocks sized by
 :func:`repro.parallel.plan_batches_for` under a fixed per-shard state
-budget — and executes the shards across worker processes:
+budget — and executes the shards across worker processes.
+:func:`run_sharded` is the one place that plans, seeds and dispatches
+shards: every sharded sampler, static or dynamic, local, checkpointed
+or through a broker, goes through it.
 
 * **Topology ships once.**  A static graph's CSR arrays are exported
   into POSIX shared memory (:meth:`repro.graphs.Graph.to_shared`), so
   every worker maps the same physical ``indptr`` / ``indices`` /
-  ``degrees`` instead of unpickling a private copy per task; dynamic
-  sequences are constructed per shard (see
-  :func:`repro.dynamics.dynamic_cover_time_batch`) or shipped as the
-  small seeded objects they are and realised lazily in the worker.
+  ``degrees`` instead of unpickling a private copy per task.  Dynamic
+  sequences are realised per shard by :func:`run_sharded` itself: a
+  factory ``seed -> GraphSequence`` is called once per shard on the
+  topology half of the shard's seed, and the small seeded sequence
+  ships to the worker, which materialises snapshots lazily.
 * **Randomness is per shard.**  Each shard's generator is spawned from
   the caller's master seed via :mod:`repro.stats.rng`, and the shard
-  plan is a pure function of ``(rule, runs, n, budget, max_shard)`` —
-  never of the worker count — so the merged result is bit-for-bit
-  identical at any ``workers`` (``workers=1`` runs the same shards
-  serially in-process).
+  plan is a pure function of ``(rule, runs, n, max_shard)`` — never of
+  the worker count — so the merged result is bit-for-bit identical at
+  any ``workers`` (``workers=1`` runs the same shards serially
+  in-process).
 
 The per-shard streams intentionally differ from the single-stream
 ``run_batch`` path: sharded determinism is seed × shard-plan, not
@@ -96,6 +100,10 @@ DEFAULT_SHARD_STATE_BUDGET_BYTES = 64 * 1024 * 1024
 #: shard).
 DEFAULT_MAX_SHARD = 256
 
+#: Start method of the shard pool: ``fork`` where cheap and safe, else
+#: ``spawn``.
+_MP_CONTEXT = mp.get_context("fork" if os.name != "nt" else "spawn")
+
 # Worker-side cache of attached shared graphs, keyed by segment name.
 # Pool workers survive across tasks, so each worker maps a segment at
 # most once; the mapping is released when the worker exits (attaching
@@ -108,13 +116,13 @@ def plan_shards(
     total_runs: int,
     n_vertices: int,
     *,
-    budget_bytes: int = DEFAULT_SHARD_STATE_BUDGET_BYTES,
     max_shard: int = DEFAULT_MAX_SHARD,
 ) -> list[int]:
     """Split ``total_runs`` into deterministic shard sizes.
 
     Delegates to :func:`repro.parallel.plan_batches_for` (the rule's
-    declared per-run state footprint under ``budget_bytes``), capped at
+    declared per-run state footprint under
+    :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES`), capped at
     ``max_shard`` runs per shard.  The result depends only on the
     arguments — never on the machine or the worker count — which is
     what makes sharded execution seed-stable.  ``total_runs == 0``
@@ -126,7 +134,7 @@ def plan_shards(
         rule,
         total_runs,
         n_vertices,
-        budget_bytes=budget_bytes,
+        budget_bytes=DEFAULT_SHARD_STATE_BUDGET_BYTES,
         max_batch=max_shard,
     )
 
@@ -239,70 +247,76 @@ def run_shard(task: ShardTask):
     )
 
 
-def _mp_context(spec: str | None = None):
-    """Pick a start method: ``fork`` where cheap and safe, else spawn."""
-    if spec is None:
-        spec = "fork" if os.name != "nt" else "spawn"
-    return mp.get_context(spec)
-
-
 def _run_shard_indexed(item: tuple[int, ShardTask]):
-    """Pool entry point for completion-order scheduling: keep the index.
+    """Pool entry point: run one shard and carry its index home.
 
     ``imap_unordered`` yields results in finish order, so each one must
-    carry its shard index home for re-keying before the merge.
+    carry its shard index for re-keying before the merge.
     """
     index, task = item
     return index, run_shard(task)
 
 
-def execute_shards(
-    tasks: Sequence[ShardTask],
-    workers: int | None = None,
-    *,
-    mp_context: str | None = None,
-    schedule: str = "static",
-) -> list:
+def _completed_shards(items, workers: int):
+    """Yield ``(index, result)`` for ``(index, task)`` items as they finish.
+
+    The one pool loop behind every local execution path.  A single item
+    or ``workers <= 1`` runs in-process, in order; otherwise a pool of
+    at most ``len(items)`` workers hands shards out one at a time
+    (``imap_unordered``, chunksize 1 — shards are few and heavy, so
+    eager redistribution beats amortised IPC) and yields each result the
+    moment it lands, so idle workers pick up the next shard immediately.
+    """
+    items = list(items)
+    workers = min(int(workers), len(items))
+    if workers <= 1:
+        for index, task in items:
+            yield index, run_shard(task)
+        return
+    with _MP_CONTEXT.Pool(processes=workers) as pool:
+        yield from pool.imap_unordered(_run_shard_indexed, items, chunksize=1)
+
+
+def execute_shards(tasks: Sequence[ShardTask], workers: int | None = None) -> list:
     """Run shard tasks, serially or across a process pool.
 
     ``workers=None`` uses :func:`repro.parallel.default_workers`;
     ``workers <= 1`` (or a single task) runs in-process, and a worker
     count above the task count is clamped (fewer shards than workers is
-    fine — the surplus workers are simply never spawned).  Output order
-    matches input order, and because every task carries its own spawned
-    seed the results are identical either way.  ``chunksize`` is pinned
-    to 1: shards are few and heavy, so eager redistribution beats
-    amortised IPC.
-
-    ``schedule`` selects the dispatch discipline: ``"static"`` is
-    ``Pool.map`` (results retrieved in order); ``"completion"`` is
-    ``Pool.imap_unordered`` — shards stream back the moment they
-    finish, and idle workers steal the next shard immediately, which
-    helps when cover times are heavy-tailed and one shard dominates.
-    Results are re-keyed by shard index before returning, so the two
-    schedules are observably identical apart from wall-clock.
+    fine — the surplus workers are simply never spawned).  Results are
+    re-keyed by shard index, so output order matches input order, and
+    because every task carries its own spawned seed the results are
+    identical either way.
     """
-    if schedule not in ("static", "completion"):
-        raise ValueError(
-            f"unknown schedule {schedule!r}: expected 'static' or 'completion'"
-        )
     tasks = list(tasks)
-    if not tasks:
-        return []
     workers = default_workers() if workers is None else int(workers)
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [run_shard(task) for task in tasks]
-    ctx = _mp_context(mp_context)
-    with ctx.Pool(processes=workers) as pool:
-        if schedule == "completion":
-            results: list = [None] * len(tasks)
-            for index, result in pool.imap_unordered(
-                _run_shard_indexed, list(enumerate(tasks)), chunksize=1
-            ):
-                results[index] = result
-            return results
-        return pool.map(run_shard, tasks, chunksize=1)
+    results: list = [None] * len(tasks)
+    for index, result in _completed_shards(enumerate(tasks), workers):
+        results[index] = result
+    return results
+
+
+def _execute_local(tasks, workers: int | None, *, cache, checkpoint) -> list:
+    """Run shard tasks on this host, checkpointed when a manifest is set.
+
+    The local tier of :func:`run_sharded`, and the fallback of
+    :func:`repro.distributed.execute_shards_resilient`: with a resolved
+    ``checkpoint`` path the tasks go through
+    :func:`repro.resilience.execute_shards_checkpointed` (completed
+    shards served from ``cache``), otherwise through
+    :func:`execute_shards`.  ``workers=None`` means
+    :func:`repro.parallel.default_workers`.
+    """
+    if checkpoint is None:
+        return execute_shards(tasks, workers)
+    from ..resilience import execute_shards_checkpointed
+
+    return execute_shards_checkpointed(
+        tasks,
+        workers=default_workers() if workers is None else int(workers),
+        cache=cache,
+        checkpoint=checkpoint,
+    )
 
 
 def _pad_trajectories(parts: list[np.ndarray], width: int) -> np.ndarray:
@@ -451,10 +465,7 @@ def run_sharded(
     track_hits: bool = False,
     record_sizes: bool = False,
     record_visited: bool = False,
-    budget_bytes: int = DEFAULT_SHARD_STATE_BUDGET_BYTES,
     max_shard: int = DEFAULT_MAX_SHARD,
-    mp_context: str | None = None,
-    schedule: str = "static",
     endpoint: str | None = None,
     cache="auto",
     backend: str | None = None,
@@ -472,13 +483,22 @@ def run_sharded(
     created, closed and unlinked here, so callers manage nothing.
     Returns a merged :class:`~repro.engine.SpreadResult`; results are
     identical for every ``workers`` value (an ``R = 0`` state merges
-    into a well-formed empty result).  ``schedule`` selects the pool
-    dispatch discipline (see :func:`execute_shards`).
+    into a well-formed empty result).
+
+    ``topology`` is a graph, a graph sequence, or a factory
+    ``topology_seed -> GraphSequence``.  A factory is realised once per
+    shard: the shard's spawned seed splits through
+    :func:`repro.dynamics.batch_seed_pair`, the topology half realises
+    the shard's sequence (as a fresh replay) and the process half seeds
+    the shard's runs.  ``n`` is then read from ``state``, which must be
+    ``(R, n)``.  A plain sequence that observes the process (an
+    adaptive adversary) gets a pristine replay per shard; an oblivious
+    one ships as the one object it is.
 
     With ``endpoint`` set (a broker's ``host:port``) the same tasks —
     same plan, same spawned seeds — go through
-    :func:`repro.distributed.execute_shards_remote` instead of a local
-    pool: the topology ships over the versioned wire format as a
+    :func:`repro.distributed.execute_shards_resilient` instead of a
+    local pool: the topology ships over the versioned wire format as a
     content-addressed blob, once per broker and once per worker (no
     shared memory), results are content-address cached per
     ``cache``, and the merged output stays bit-for-bit identical to
@@ -515,19 +535,19 @@ def run_sharded(
             "cannot be sharded along the run axis; shard it manually by "
             "constructing one rule per shard"
         )
-    topo = as_topology(topology)
+    factory = topology if callable(topology) else None
+    topo = None if factory is not None else as_topology(topology)
+    n = state.shape[1] if topo is None else topo.n
     runs = state.shape[0]
     if runs == 0:
         return _empty_result(
             state,
-            topo.n,
+            n,
             track_hits=track_hits,
             record_sizes=record_sizes,
             record_visited=record_visited,
         )
-    shard_sizes = plan_shards(
-        rule, runs, topo.n, budget_bytes=budget_bytes, max_shard=max_shard
-    )
+    shard_sizes = plan_shards(rule, runs, n, max_shard=max_shard)
     master = seed_sequence_from(seed)
     seeds = spawn_seeds(master, len(shard_sizes))
     workers = default_workers() if workers is None else int(workers)
@@ -571,33 +591,41 @@ def run_sharded(
 
             checkpoint_path = resolve_checkpoint(checkpoint)
         shared: SharedGraph | None = None
-        ship: object = topo
-        # Checkpointed local runs content-address their tasks through
-        # the wire encoding, which a process-local SharedGraph handle
-        # cannot cross: ship by value instead (same keys as the
-        # distributed tier, so a resume can switch tiers freely).
-        if (
-            endpoint is None
-            and checkpoint_path is None
-            and workers > 1
-            and isinstance(topo, StaticTopology)
+        if factory is not None:
+            from ..dynamics.process import _resolve_sequence, batch_seed_pair
+
+            pairs = [batch_seed_pair(s) for s in seeds]
+            topologies = [
+                _resolve_sequence(factory, topo_seed, fresh=True)
+                for topo_seed, _ in pairs
+            ]
+            seeds = [proc_seed for _, proc_seed in pairs]
+        elif getattr(topo, "observes_process", False) and hasattr(
+            topo, "fresh_replay"
         ):
-            shared = topo.base.to_shared()
-            ship = shared
-        # Observing topologies (adaptive adversaries) accumulate a per-run
-        # observation log, so one instance cannot serve several engine
-        # invocations: every shard gets its own pristine replay.  Oblivious
-        # sequences return themselves and still ship as one object.
-        fresh = getattr(topo, "fresh_replay", None)
-        per_shard_topo = (
-            fresh if getattr(topo, "observes_process", False) and fresh else None
-        )
+            # Observing topologies (adaptive adversaries) accumulate a
+            # per-run observation log, so one instance cannot serve
+            # several engine invocations.
+            topologies = [topo.fresh_replay() for _ in seeds]
+        else:
+            # Checkpointed local runs content-address their tasks through
+            # the wire encoding, which a process-local SharedGraph handle
+            # cannot cross: ship by value instead (same keys as the
+            # distributed tier, so a resume can switch tiers freely).
+            if (
+                endpoint is None
+                and checkpoint_path is None
+                and workers > 1
+                and isinstance(topo, StaticTopology)
+            ):
+                shared = topo.base.to_shared()
+            topologies = [topo if shared is None else shared] * len(seeds)
         try:
             bounds = np.concatenate([[0], np.cumsum(shard_sizes)])
             tasks = [
                 ShardTask(
                     rule=rule,
-                    topology=ship if per_shard_topo is None else per_shard_topo(),
+                    topology=shard_topology,
                     completion=completion,
                     state=state[lo:hi],
                     seed=s,
@@ -607,7 +635,9 @@ def run_sharded(
                     record_visited=record_visited,
                     backend=backend,
                 )
-                for lo, hi, s in zip(bounds[:-1], bounds[1:], seeds)
+                for lo, hi, s, shard_topology in zip(
+                    bounds[:-1], bounds[1:], seeds, topologies
+                )
             ]
             if endpoint is not None:
                 from ..distributed.client import execute_shards_resilient
@@ -620,24 +650,11 @@ def run_sharded(
                     retry=retry,
                     checkpoint=checkpoint,
                     fallback=fallback,
-                    mp_context=mp_context,
-                    schedule=schedule,
                 )
             else:
-                if checkpoint_path is not None:
-                    from ..resilience import execute_shards_checkpointed
-
-                    results = execute_shards_checkpointed(
-                        tasks,
-                        workers=workers,
-                        cache=cache,
-                        checkpoint=checkpoint_path,
-                        mp_context=mp_context,
-                    )
-                else:
-                    results = execute_shards(
-                        tasks, workers, mp_context=mp_context, schedule=schedule
-                    )
+                results = _execute_local(
+                    tasks, workers, cache=cache, checkpoint=checkpoint_path
+                )
         finally:
             if shared is not None:
                 # Unlink first: through the still-open creator handle it

@@ -6,8 +6,8 @@ existing content-addressed :class:`~repro.distributed.cache.ResultCache`
 (keyed by canonical task digest), so the manifest only needs the task
 key list and a set of done indices — a few hundred bytes, written
 atomically after every completion.  An interrupted
-``run_sharded``/``run_distributed`` pointed at the same manifest path
-resumes bit-identically: completed shards are served from the cache
+``run_sharded`` (local or ``endpoint=``) pointed at the same manifest
+path resumes bit-identically: completed shards are served from the cache
 (observable via its hit counters) and only the remainder is recomputed
 or re-submitted.
 
@@ -127,7 +127,6 @@ def execute_shards_checkpointed(
     workers: int = 1,
     cache="auto",
     checkpoint=None,
-    mp_context=None,
 ):
     """Run shard tasks locally with checkpoint/resume over the cache.
 
@@ -135,14 +134,15 @@ def execute_shards_checkpointed(
     shards recorded in the manifest are served from the content-addressed
     cache (counted as ``client.cache.hits``), only the remainder is
     executed, and each fresh completion is stored + checkpointed before
-    the next one starts.  Results come back in task order, bit-identical
-    to :func:`repro.parallel.execute_shards` on the same plan.
+    the next one starts.  The pending shards run through the same pool
+    loop as :func:`repro.parallel.execute_shards`, and results come back
+    in task order, bit-identical to it on the same plan.
     """
     # Lazy: keep repro.resilience importable without dragging in the
     # distributed package (which imports this module via the client).
     from repro.distributed.cache import resolve_cache
     from repro.distributed.wire import encode_result, encode_task, task_key
-    from repro.parallel.sharding import _run_shard_indexed, run_shard
+    from repro.parallel.sharding import _completed_shards
 
     tel = get_telemetry()
     tasks = list(tasks)
@@ -163,7 +163,6 @@ def execute_shards_checkpointed(
         manifest = JobCheckpoint(manifest.path, keys)
 
     results: list = [None] * len(tasks)
-    pending: list[int] = []
     for i in manifest.done_indices():
         cached = store.get(keys[i])
         if cached is not None:
@@ -171,30 +170,13 @@ def execute_shards_checkpointed(
             results[i] = cached
         # A checkpointed shard whose cache entry was evicted or
         # quarantined just recomputes: correctness over bookkeeping.
-    for i in range(len(tasks)):
-        if results[i] is None:
-            pending.append(i)
-
-    def _finish(index: int, result) -> None:
-        results[index] = result
-        store.put(keys[index], encode_result(result))
-        manifest.mark_done(index)
+    pending = [i for i in range(len(tasks)) if results[i] is None]
+    # Each fresh completion is stored and checkpointed as it lands.
+    for i, result in _completed_shards([(i, tasks[i]) for i in pending], workers):
+        results[i] = result
+        store.put(keys[i], encode_result(result))
+        manifest.mark_done(i)
         manifest.save()
-
-    if pending:
-        if workers <= 1 or len(pending) == 1:
-            for i in pending:
-                _finish(i, run_shard(tasks[i]))
-        else:
-            from repro.parallel.sharding import _mp_context
-
-            ctx = _mp_context(mp_context)
-            with ctx.Pool(min(workers, len(pending))) as pool:
-                indexed = [(i, tasks[i]) for i in pending]
-                for i, result in pool.imap_unordered(
-                    _run_shard_indexed, indexed, chunksize=1
-                ):
-                    _finish(i, result)
     if tel.enabled:
         tel.event(
             "checkpoint.complete",

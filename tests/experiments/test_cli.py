@@ -15,6 +15,18 @@ class TestParser:
         assert args.experiment == "E1"
         assert args.scale == "quick"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["cover", "cycle-9"], ["trajectory", "cycle-9"], ["dynamics"],
+         ["adversary", "--batched"]],
+    )
+    def test_shard_flags_shared(self, argv):
+        args = build_parser().parse_args(
+            [*argv, "--workers", "3", "--endpoint", "h:1"]
+        )
+        assert (args.workers, args.endpoint) == (3, "h:1")
+        assert build_parser().parse_args(argv).workers is None
+
     def test_run_options(self):
         args = build_parser().parse_args(
             ["run", "all", "--scale", "smoke", "--seed", "7"]
@@ -126,6 +138,16 @@ class TestDynamicsCommand:
     def test_bad_rate_rejected(self):
         with pytest.raises(SystemExit):
             main(["dynamics", "--rate", "1.5", "--runs", "2"])
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--endpoint", "127.0.0.1:1"]]
+    )
+    def test_independent_rejects_shard_flags(self, flag, capsys):
+        # The per-run loop never shards: the flag would be dropped
+        # silently (and broker cache stats printed for no broker).
+        with pytest.raises(SystemExit, match="--independent"):
+            main(["dynamics", "--independent", "--runs", "2", *flag])
+        assert capsys.readouterr().out == ""
 
 
 class TestReportCommand:

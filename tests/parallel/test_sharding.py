@@ -72,7 +72,9 @@ class TestWorkerCountInvariance:
         topology = _sequence(graph) if dynamic else graph
         rule = _rules()[name]
         reference = _run(rule, topology, workers=1)
-        for workers in (2, 4):
+        # Pool dispatch is completion-order and re-keyed by shard index:
+        # 3 workers on 5 shards can finish them out of order.
+        for workers in (2, 3, 4):
             got = _run(rule, topology, workers=workers)
             assert got.rounds_run == reference.rounds_run
             assert np.array_equal(got.finish_times, reference.finish_times)
@@ -99,32 +101,6 @@ class TestWorkerCountInvariance:
             times.append(res.finish_times)
             lo += size
         assert np.array_equal(np.concatenate(times), sharded.finish_times)
-
-
-class TestCompletionSchedule:
-    @pytest.mark.parametrize("name", ["cobra", "bips", "walk"])
-    def test_completion_schedule_identical_to_static(self, name):
-        # imap_unordered dispatch re-keys results by shard index, so
-        # the two schedules must be observably identical.
-        graph = _graph()
-        rule = _rules()[name]
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
-        static = engine.run_sharded(
-            state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD
-        )
-        stolen = engine.run_sharded(
-            state,
-            123,
-            workers=3,
-            track_hits=True,
-            max_shard=MAX_SHARD,
-            schedule="completion",
-        )
-        assert stolen.rounds_run == static.rounds_run
-        assert np.array_equal(stolen.finish_times, static.finish_times)
-        assert np.array_equal(stolen.hit_times, static.hit_times)
-        assert np.array_equal(stolen.final_state, static.final_state)
 
 
 class TestTrajectoryMerging:
@@ -222,10 +198,6 @@ class TestPlanAndErrors:
         reference = engine.run_sharded(state, 123, workers=1, max_shard=20)
         got = engine.run_sharded(state, 123, workers=8, max_shard=20)
         assert np.array_equal(got.finish_times, reference.finish_times)
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            execute_shards([], workers=2, schedule="sorted")
 
     def test_single_task_serial_even_with_many_workers(self):
         # min(workers, tasks) == 1 must not spin up a pool: verified by

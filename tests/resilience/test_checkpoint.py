@@ -11,10 +11,12 @@ import json
 import numpy as np
 import pytest
 
+from repro import resilience
 from repro.core.branching import make_policy
 from repro.distributed import ResultCache
+from repro.dynamics import RewiringSequence, dynamic_cover_time_batch
 from repro.engine import CobraRule, SpreadEngine
-from repro.graphs import hypercube_graph
+from repro.graphs import hypercube_graph, random_regular_graph
 from repro.parallel import ShardTask
 from repro.resilience import JobCheckpoint, execute_shards_checkpointed
 from repro.stats import spawn_seeds
@@ -214,3 +216,33 @@ class TestRunShardedCheckpoint:
             assert np.array_equal(got.finish_times, reference.finish_times)
             assert np.array_equal(got.hit_times, reference.hit_times)
             assert np.array_equal(got.final_state, reference.final_state)
+
+    def test_dynamic_batch_honours_configured_checkpoint(self, tmp_path):
+        # The sharded dynamic samplers run through run_sharded, so the
+        # process-wide checkpoint (repro CLI --checkpoint) applies to
+        # them too: the rerun is served from cache, bit-identically.
+        base = random_regular_graph(16, 4, rng=5)
+
+        def factory(topology_seed):
+            return RewiringSequence(base, 2, seed=topology_seed)
+
+        manifest = tmp_path / "dyn.json"
+        store = ResultCache(tmp_path / "cache", max_bytes=None)
+        reference = dynamic_cover_time_batch(factory, 300, seed=3, workers=2)
+        tel = get_telemetry()
+        resilience.configure(checkpoint=str(manifest))
+        try:
+            first = dynamic_cover_time_batch(
+                factory, 300, seed=3, workers=2, cache=store
+            )
+            assert json.loads(manifest.read_text())["done"] == [0, 1]
+            assert len(store) == 2
+            hits_before = tel.counters().get("client.cache.hits", 0)
+            second = dynamic_cover_time_batch(
+                factory, 300, seed=3, workers=2, cache=store
+            )
+        finally:
+            resilience.configure(checkpoint=None)
+        assert tel.counters().get("client.cache.hits", 0) == hits_before + 2
+        assert np.array_equal(first, reference)
+        assert np.array_equal(second, reference)
