@@ -72,9 +72,7 @@ class TestWorkerCountInvariance:
         topology = _sequence(graph) if dynamic else graph
         rule = _rules()[name]
         reference = _run(rule, topology, workers=1)
-        # Pool dispatch is completion-order and re-keyed by shard index:
-        # 3 workers on 5 shards can finish them out of order.
-        for workers in (2, 3, 4):
+        for workers in (2, 4):
             got = _run(rule, topology, workers=workers)
             assert got.rounds_run == reference.rounds_run
             assert np.array_equal(got.finish_times, reference.finish_times)
@@ -101,6 +99,28 @@ class TestWorkerCountInvariance:
             times.append(res.finish_times)
             lo += size
         assert np.array_equal(np.concatenate(times), sharded.finish_times)
+
+
+class TestCompletionSchedule:
+    @pytest.mark.parametrize("name", ["cobra", "bips", "walk"])
+    def test_completion_schedule_identical_to_static(self, name):
+        # Pool dispatch is completion-order (imap_unordered) and re-keyed
+        # by shard index: 3 workers on 5 shards can finish them out of
+        # order, yet the result must equal the in-order serial run.
+        graph = _graph()
+        rule = _rules()[name]
+        engine = SpreadEngine(rule, graph)
+        state = _initial_state(rule, graph.n)
+        static = engine.run_sharded(
+            state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD
+        )
+        stolen = engine.run_sharded(
+            state, 123, workers=3, track_hits=True, max_shard=MAX_SHARD
+        )
+        assert stolen.rounds_run == static.rounds_run
+        assert np.array_equal(stolen.finish_times, static.finish_times)
+        assert np.array_equal(stolen.hit_times, static.hit_times)
+        assert np.array_equal(stolen.final_state, static.final_state)
 
 
 class TestTrajectoryMerging:
