@@ -8,6 +8,14 @@ that has a compiled twin in :mod:`repro.kernels`, at n ∈ {10^4, 10^5}:
 * **push** — numpy vs the word-packed ``bitplane`` rule
   (distribution-equivalent: same per-run law, 64 runs per draw).
 
+Each cell runs on two graphs at the same n, one per side of the CSR
+lookup's path selection: the random 8-regular expander (the stride
+lookup) and a fixed-seed irregular graph with mean degree about 8 and
+no isolated vertex (the ``indptr``/``degrees`` gathers).  Irregular
+rows carry ``"graph": "irregular"``; the regular rows keep the columns
+they always had, so ``repro bench compare`` still pairs them with the
+earlier entries.
+
 Every invocation appends its rows to ``BENCH_kernels.json`` at the
 repo root via :mod:`benchmarks.record`.  The pytest gate asserts the
 ≥ 10× per-round win of the numba kernel over numpy for COBRA at
@@ -26,6 +34,7 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 
@@ -35,7 +44,7 @@ from record import machine_context, record_bench
 
 from repro.core.branching import make_policy
 from repro.engine import BipsRule, CobraRule, PushRule, SpreadEngine
-from repro.graphs import random_regular_graph
+from repro.graphs import Graph, random_regular_graph
 from repro.kernels import backend_available
 from repro.telemetry.compare import KERNEL_GATE_N, KERNEL_SPEEDUP_FLOOR
 
@@ -57,9 +66,28 @@ CELLS = {
 }
 
 
-def build_cell(rule_key: str, n: int, runs: int = RUNS):
-    """An expander, the rule's engine, and one-hot starts."""
-    graph = random_regular_graph(n, DEGREE, rng=1)
+def irregular_graph(n: int) -> Graph:
+    """A random 4-regular graph plus ``2n`` uniform random chords.
+
+    Degrees are 4 plus about Poisson(4): mean about 8, minimum 4, so
+    every vertex can move but the graph is not regular.
+    """
+    chords = np.random.default_rng(SEED).integers(0, n, size=(2 * n, 2))
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    base = random_regular_graph(n, DEGREE // 2, rng=1).edge_array()
+    return Graph(n, np.concatenate([base, chords]), name=f"irregular-{n}")
+
+
+#: graph kind -> (builder, extra row columns); regular rows add none
+GRAPHS = {
+    "regular": (lambda n: random_regular_graph(n, DEGREE, rng=1), {}),
+    "irregular": (irregular_graph, {"graph": "irregular"}),
+}
+
+
+def build_cell(rule_key: str, n: int, runs: int = RUNS, graph_kind="regular"):
+    """The cell's graph, the rule's engine, and one-hot starts."""
+    graph = GRAPHS[graph_kind][0](n)
     engine = SpreadEngine(CELLS[rule_key][0](), graph)
     state = np.zeros((runs, n), dtype=bool)
     state[:, 0] = True
@@ -97,12 +125,14 @@ def measure(
     """
     rows: list[dict] = []
     skipped: list[str] = []
-    for rule_key, (_, compiled) in CELLS.items():
+    for (rule_key, (_, compiled)), (kind, (_, extra)) in itertools.product(
+        CELLS.items(), GRAPHS.items()
+    ):
         compiled_ok = backend_available(compiled)
         if not compiled_ok and compiled not in skipped:
             skipped.append(compiled)
         for n in sizes:
-            engine, state = build_cell(rule_key, n, runs)
+            engine, state = build_cell(rule_key, n, runs, kind)
             base_spr, base_rounds = time_backend(
                 engine, state, "numpy", max_rounds=max_rounds
             )
@@ -115,6 +145,7 @@ def measure(
                     "rounds": base_rounds,
                     "seconds_per_round": round(base_spr, 6),
                     "speedup_vs_numpy": 1.0,
+                    **extra,
                 }
             )
             if not compiled_ok:
@@ -133,6 +164,7 @@ def measure(
                     "rounds": rounds,
                     "seconds_per_round": round(spr, 6),
                     "speedup_vs_numpy": round(base_spr / spr, 3),
+                    **extra,
                 }
             )
     return rows, skipped
@@ -152,8 +184,16 @@ def gate_speedup(rows: list[dict], rule: str, backend: str, n: int) -> float:
 def test_backend_rows_cover_numpy_baseline():
     """Cheap shape gate: every cell records a numpy baseline row."""
     rows, _ = measure(sizes=(2048,), runs=8, max_rounds=4)
-    numpy_rules = {r["rule"] for r in rows if r["backend"] == "numpy"}
-    assert numpy_rules == set(CELLS)
+    numpy_cells = {
+        (r["rule"], r.get("graph", "regular")) for r in rows if r["backend"] == "numpy"
+    }
+    assert numpy_cells == set(itertools.product(CELLS, GRAPHS))
+
+
+def test_irregular_graph_takes_the_general_lookup():
+    graph = irregular_graph(2048)
+    assert graph.dmin >= 1 and not graph.is_regular()
+    assert 7.5 < 2 * graph.m / graph.n < 8.5
 
 
 @pytest.mark.skipif(
@@ -203,14 +243,18 @@ def main(argv=None) -> int:
     rows, skipped = measure(sizes, runs, max_rounds)
     ctx = machine_context()
     print(
-        f"kernel backends on rreg-{DEGREE}-n, R={runs}, "
+        f"kernel backends on rreg-{DEGREE}-n and irregular-n, R={runs}, "
         f"{max_rounds}-round cells ({ctx['cpus']} CPUs)"
     )
-    header = f"{'rule':7} {'backend':9} {'n':>7} {'s/round':>10} {'speedup':>8}"
+    header = (
+        f"{'graph':9} {'rule':7} {'backend':9} {'n':>7} "
+        f"{'s/round':>10} {'speedup':>8}"
+    )
     print(header)
     print("-" * len(header))
     for row in rows:
         print(
+            f"{row.get('graph', 'regular'):9} "
             f"{row['rule']:7} {row['backend']:9} {row['n']:>7} "
             f"{row['seconds_per_round']:>10.6f} "
             f"{row['speedup_vs_numpy']:>7.2f}x"

@@ -244,8 +244,8 @@ def generate_report(
         f"Generated by `repro report` on {today} at scale "
         f"`{config.scale}` with master seed {config.seed}.  The paper "
         "contains no printed tables/figures (it is a theory paper); the "
-        "experiment set below is the canonical per-theorem suite defined "
-        "in DESIGN.md.  Regenerate any row with "
+        "experiment set below is the canonical per-theorem suite of "
+        "README.md (*Module map*).  Regenerate any row with "
         f"`python -m repro run <id> --scale {config.scale}`.",
         "",
         "| id | paper anchor | checks | verdict | runtime |",

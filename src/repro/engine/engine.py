@@ -404,13 +404,15 @@ class SpreadEngine:
                 basis = visited
             else:
                 occ = rule.occupancy(state, n)
-                if visited is not None:
+                if hits is not None:
                     fresh = occ & ~visited
                     fresh &= alive[:, None]
                     visited |= fresh
-                    if hits is not None:
-                        hits[fresh] = t
+                    hits[fresh] = t
                     remaining -= fresh.sum(axis=1)
+                elif visited is not None:  # one masked pass, no temporaries
+                    np.logical_or(visited, occ, out=visited, where=alive[:, None])
+                    remaining = n - np.count_nonzero(visited, axis=1)
                 basis = visited if monotone else occ
             done_now = alive & self.completion.done(
                 basis, graph, remaining if monotone else None

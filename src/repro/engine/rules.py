@@ -2,9 +2,13 @@
 
 A :class:`SpreadRule` advances ``R`` independent runs one round inside
 a single flattened index program over the CSR arrays, mapping uniforms
-to neighbours through :meth:`repro.graphs.Graph.neighbors_at`.  The
-engine layer owns the loop, the visited set, hit times and completion;
-a rule owns only its state array and one ``step``.
+to neighbours through :meth:`repro.graphs.Graph.neighbors_at`.  On a
+d-regular graph (d >= 1) that lookup is a stride, ``v * d +
+trunc(u * d)``, with no per-vertex gather; other graphs gather
+``indptr`` and ``degrees``.  Both paths map every uniform to the same
+neighbour, so the choice never changes the draw stream.  The engine
+layer owns the loop, the visited set, hit times and completion; a rule
+owns only its state array and one ``step``.
 
 Draw-stream contract
 --------------------
@@ -16,8 +20,9 @@ the wrappers in :mod:`repro.core`, :mod:`repro.baselines` and
 and BIPS kernels by ``tests/engine/test_kernel_stream.py``):
 
 * ``CobraRule`` draws only for *alive* runs' movers in row-major
-  ``(run, vertex)`` order: branch counts, then a neighbour uniform per
-  selection, then (lazy) a coin per selection, blocks actor-major;
+  ``(run, vertex)`` order: branch counts (none for a fixed ``b``),
+  then a neighbour uniform per selection, then (lazy) a coin per
+  selection, blocks actor-major;
 * ``BipsRule``'s ``"batch"`` discipline draws for *every* row, then
   freezes finished rows: per selection an ``(R, k)`` block of uniforms
   over the ``k`` degree-positive vertices, then (lazy) its coins, then
@@ -174,12 +179,15 @@ class CobraRule(SpreadRule):
             held = graph.degrees[verts] == 0
             out[flat[held]] = True
             verts, base = verts[~held], base[~held]
-        counts = self.policy.draw_counts(verts.shape[0], rng)
         b = self.policy.fixed_selection_count()
-        first = None if b else np.cumsum(counts) - counts
-        u = rng.random(int(counts.sum()))
+        if b:  # a fixed b draws no counts: k*b uniforms, actor-major
+            u = rng.random(verts.shape[0] * b)
+        else:
+            counts = self.policy.draw_counts(verts.shape[0], rng)
+            first = np.cumsum(counts) - counts
+            u = rng.random(int(counts.sum()))
         stay = rng.random(u.shape[0]) < 0.5 if self.lazy else None
-        for j in range(int(counts.max(initial=0))):  # every actor's j-th pick
+        for j in range(b or int(counts.max(initial=0))):  # every j-th pick
             if b:  # a strided column of the actor-major (k, b) draw block
                 actors, rows, draw = verts, base, slice(j, None, b)
             else:  # ragged counts: the actors making more than j selections

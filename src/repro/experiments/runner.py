@@ -3,8 +3,9 @@
 An experiment's ``run(config)`` returns an :class:`ExperimentResult`:
 one or more :class:`~repro.experiments.tables.Table` objects (the
 regenerated "table/figure" data) plus named :class:`Check` outcomes
-encoding the *shape criteria* from DESIGN.md — so both the CLI and the
-test-suite can assert reproduction success mechanically.
+encoding each experiment's *shape criteria* (README.md, *Quickstart*)
+— so both the CLI and the test-suite can assert reproduction success
+mechanically.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ adjacency layout makes that a three-instruction vectorised program::
     offsets = indptr[vertices] + floor(uniform * degrees[vertices])
     chosen  = indices[offsets]
 
+and on a ``d``-regular graph (``d >= 1``), where ``indptr[v] == v * d``,
+a two-instruction one with no per-vertex gather::
+
+    offsets = vertices * d + floor(uniform * d)
+
 so the whole library is built on this small immutable :class:`Graph`
 class rather than on ``networkx`` objects (conversion helpers are
 provided for interoperability).
@@ -225,13 +230,20 @@ class Graph:
         CSR column indices of shape ``(2 * m,)``.
     degrees : numpy.ndarray
         Per-vertex degree, ``degrees[u] == indptr[u + 1] - indptr[u]``.
+    dmin, dmax : int
+        Minimum and maximum vertex degree (``d_max`` in the paper).
     """
 
-    # ``_digest`` memoises the wire content address (the arrays are
-    # read-only, so it is computed at most once); ``__weakref__`` lets
-    # the wire's topology store hold graphs without keeping them alive.
+    # ``dmin``/``dmax``/``_stride`` are the degree facts, computed once
+    # per graph (``_cache_degree_facts``); ``_stride`` is the common
+    # degree of a d-regular graph with d >= 1 and 0 otherwise, and
+    # selects the neighbour lookup.  ``_digest`` memoises the wire
+    # content address (the arrays are read-only, so it is computed at
+    # most once); ``__weakref__`` lets the wire's topology store hold
+    # graphs without keeping them alive.
     __slots__ = (
-        "n", "m", "indptr", "indices", "degrees", "name", "_digest", "__weakref__"
+        "n", "m", "indptr", "indices", "degrees", "name",
+        "dmin", "dmax", "_stride", "_digest", "__weakref__",
     )
 
     def __init__(
@@ -282,6 +294,13 @@ class Graph:
         self._digest = None
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
+        self._cache_degree_facts()
+
+    def _cache_degree_facts(self) -> None:
+        """Set ``dmin``, ``dmax`` and ``_stride`` from ``degrees``."""
+        self.dmin = int(self.degrees.min()) if self.n else 0
+        self.dmax = int(self.degrees.max()) if self.n else 0
+        self._stride = self.dmax if self.dmin == self.dmax >= 1 else 0
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -312,16 +331,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
-
-    @property
-    def dmax(self) -> int:
-        """Maximum vertex degree (``d_max`` in the paper)."""
-        return int(self.degrees.max()) if self.n else 0
-
-    @property
-    def dmin(self) -> int:
-        """Minimum vertex degree."""
-        return int(self.degrees.min()) if self.n else 0
 
     def total_degree(self) -> int:
         """Return ``d(V) = 2m``, the degree of the full vertex set."""
@@ -369,10 +378,13 @@ class Graph:
         Returns ``indices[indptr[v] + trunc(u * deg[v])]`` elementwise
         over ``vertices`` and ``u`` broadcast together, with ``u`` in
         ``[0, 1)``: ``trunc(u * d)`` is uniform on ``{0, .., d-1}`` for
-        ``u ~ U[0, 1)``.  Draws nothing, so callers that lay out their
-        own uniforms (e.g. a ``(R, k)`` block against ``k`` vertices)
-        gather each vertex's CSR row once for every draw broadcast
-        against it.
+        ``u ~ U[0, 1)``.  On a d-regular graph (d >= 1) the row offset
+        is ``v * d`` and the factor is ``d`` itself, so the lookup
+        gathers neither ``indptr`` nor ``degrees``; any other graph
+        gathers both once per vertex, for every draw broadcast against
+        it.  Either way the result is the same and nothing is drawn, so
+        callers may lay out their own uniforms (e.g. a ``(R, k)`` block
+        against ``k`` vertices).
 
         Raises
         ------
@@ -382,28 +394,33 @@ class Graph:
         vertices = np.asarray(vertices, dtype=np.int64)
         return self._lookup(vertices, self._checked_degrees(vertices), u)
 
-    def _checked_degrees(self, vertices: np.ndarray) -> np.ndarray:
-        """``degrees[vertices]``, refusing isolated vertices."""
+    def _checked_degrees(self, vertices: np.ndarray) -> np.ndarray | np.int64:
+        """The lookup's degree factor, refusing isolated vertices.
+
+        The common degree on a d-regular graph with d >= 1 (no vertex
+        can be isolated), else the gathered ``degrees[vertices]``.
+        """
+        if self._stride:
+            return np.int64(self._stride)
         degs = self.degrees[vertices]
         if degs.size and int(degs.min()) == 0:
             raise ValueError("cannot sample a neighbour of an isolated vertex")
         return degs
 
     def _lookup(
-        self, vertices: np.ndarray, degs: np.ndarray, u: np.ndarray
+        self, vertices: np.ndarray, degs: np.ndarray | np.int64, u: np.ndarray
     ) -> np.ndarray:
         """The CSR lookup behind :meth:`neighbors_at` (no guard)."""
         shape = np.broadcast_shapes(vertices.shape, np.shape(u))
-        size = int(np.prod(shape))
-        # Both intermediates land in grow-only scratch, and the int64
-        # cast-assign truncates exactly like ``astype``.  ``u`` may be
-        # the float scratch itself (``sample_neighbors``); the in-place
-        # multiply is elementwise, so that aliasing is safe.
-        scaled = _SCRATCH.floats(size).reshape(shape)
-        np.multiply(u, degs, out=scaled)
-        offsets = _SCRATCH.ints(size).reshape(shape)
-        offsets[...] = scaled
-        offsets += self.indptr[vertices]
+        # One ufunc pass scales and truncates into the int64 scratch:
+        # the float64 product is cast to int64 on output, the same C
+        # truncation as ``astype``.
+        offsets = _SCRATCH.ints(int(np.prod(shape))).reshape(shape)
+        np.multiply(u, degs, out=offsets, casting="unsafe")
+        if self._stride:
+            offsets += vertices * self._stride
+        else:
+            offsets += self.indptr[vertices]
         return self.indices[offsets]
 
     # ------------------------------------------------------------------
@@ -555,6 +572,7 @@ class Graph:
         g._digest = None
         for arr in (g.indptr, g.indices, g.degrees):
             arr.setflags(write=False)
+        g._cache_degree_facts()
         return g
 
     def __reduce__(self):
@@ -595,8 +613,9 @@ class _Scratch:
     """Grow-only reusable buffers for the per-call sampling hot path.
 
     :meth:`Graph.sample_neighbors` and :meth:`Graph.neighbors_at` run
-    every round of every spread process; their two intermediate arrays
-    (the scaled uniforms and the integer offsets) used to be fresh heap
+    every round of every spread process; their intermediates (the
+    uniforms ``sample_neighbors`` draws, and the integer offsets the
+    lookup truncates them into) would otherwise be fresh heap
     allocations per call.  One module-level instance hands out views
     of persistent buffers that only ever grow.  The views are valid
     until the *next* request of the same dtype — callers must finish

@@ -12,6 +12,7 @@ allocating sampler of ``tests/graphs/test_sampling_scratch.py``: same
 """
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from repro.core.branching import BernoulliBranching, FixedBranching
 from repro.dynamics import ChurnSequence
 from repro.engine.rules import BipsRule, CobraRule
-from repro.graphs import path_graph, random_regular_graph, star_graph
+from repro.graphs import path_graph, random_regular_graph, star_graph, torus_graph
 from repro.graphs.graph import Graph
 
 
@@ -119,6 +120,9 @@ def _churned():
 
 GRAPHS = {
     "regular": lambda: random_regular_graph(30, 4, rng=np.random.default_rng(1)),
+    "torus": lambda: torus_graph((5, 6)),
+    # rebuilt through _from_csr, as a pool worker receives it
+    "pickled": lambda: pickle.loads(pickle.dumps(torus_graph((3, 4, 3)))),
     "star": lambda: star_graph(12),
     "path": lambda: path_graph(9),
     "churned": _churned,
