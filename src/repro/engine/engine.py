@@ -404,13 +404,9 @@ class SpreadEngine:
                 basis = visited
             else:
                 occ = rule.occupancy(state, n)
-                if hits is not None:
-                    fresh = occ & ~visited
-                    fresh &= alive[:, None]
-                    visited |= fresh
-                    hits[fresh] = t
-                    remaining -= fresh.sum(axis=1)
-                elif visited is not None:  # one masked pass, no temporaries
+                if visited is not None:  # finished rows stay frozen
+                    if hits is not None:
+                        hits[occ & ~visited & alive[:, None]] = t
                     np.logical_or(visited, occ, out=visited, where=alive[:, None])
                     remaining = n - np.count_nonzero(visited, axis=1)
                 basis = visited if monotone else occ

@@ -27,6 +27,7 @@ from repro.engine import (
     PullRule,
     PushRule,
     SpreadEngine,
+    SpreadRule,
     StaticTopology,
     WalkRule,
     as_topology,
@@ -200,6 +201,45 @@ class TestEngineLoop:
         state[:, 0] = True
         res = engine.run(state, np.random.default_rng(3))
         assert res.all_finished
+
+    @pytest.mark.parametrize("track_hits", [False, True])
+    @pytest.mark.parametrize("basis", ["state", "visited"])
+    def test_finished_rows_stop_visiting(self, basis, track_hits):
+        # Every row keeps moving after it finishes, so only the engine's
+        # alive mask keeps finished rows' visited sets frozen.
+        class RotateRule(SpreadRule):
+            completion_basis = basis
+
+            def step(self, graph, state, alive, rng):
+                return np.roll(state, 1, axis=1)
+
+            def occupancy(self, state, n):
+                return state
+
+            def default_cap(self, graph):
+                return 50
+
+        n, target = 8, 5
+        engine = SpreadEngine(
+            RotateRule(), cycle_graph(n), "target-hit", target=target
+        )
+        state = np.eye(4, n, dtype=bool)  # row r starts on vertex r
+        res = engine.run(
+            state,
+            np.random.default_rng(0),
+            track_hits=track_hits,
+            record_visited=True,
+        )
+        done = target - np.arange(4)
+        assert np.array_equal(res.finish_times, done)
+        t = np.arange(res.rounds_run + 1)
+        expected = np.minimum(t[None, :], done[:, None]) + 1
+        assert np.array_equal(res.visited_counts, expected)
+        if track_hits:
+            for r in range(4):
+                row = np.full(n, -1)
+                row[r : target + 1] = np.arange(target + 1 - r)
+                assert np.array_equal(res.hit_times[r], row)
 
 
 class TestBatchedDynamicRunner:
