@@ -210,9 +210,12 @@ class Graph:
     n:
         Number of vertices.  Vertices are the integers ``0 .. n-1``.
     edges:
-        Iterable of ``(u, v)`` pairs with ``u != v``.  Duplicates (in
-        either orientation) are collapsed; self-loops raise
-        :class:`ValueError`.
+        Iterable of ``(u, v)`` pairs with ``u != v``, or an ``(m, 2)``
+        integer :class:`numpy.ndarray` of them, used without a detour
+        through Python tuples; endpoints are coerced to ``int64``.
+        Duplicates (in either orientation) are collapsed; self-loops,
+        endpoints outside ``[0, n)`` and input that is not ``(m, 2)``
+        raise :class:`ValueError`.
     name:
         Optional human-readable label used in reports and tables.
 
@@ -249,13 +252,15 @@ class Graph:
     def __init__(
         self,
         n: int,
-        edges: Iterable[Tuple[int, int]],
+        edges: Iterable[Tuple[int, int]] | np.ndarray,
         *,
         name: str = "graph",
     ) -> None:
         if n <= 0:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        edge_arr = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_arr = np.asarray(edges, dtype=np.int64)
         if edge_arr.size == 0:
             edge_arr = edge_arr.reshape(0, 2)
         if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
@@ -276,14 +281,15 @@ class Graph:
             lo = hi = np.empty(0, dtype=np.int64)
 
         m = int(lo.shape[0])
-        # Build symmetric CSR via counting sort on the doubled edge list.
+        # Build symmetric CSR from the doubled edge list in (src, dst)
+        # order.  The pairs are unique after the dedupe, so one argsort
+        # of ``src * n + dst`` (below n², like the dedupe key) gives it.
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         degrees = np.bincount(src, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        order = np.lexsort((dst, src))
-        indices = dst[order]
+        indices = dst[np.argsort(src * np.int64(n) + dst)]
 
         self.n: int = int(n)
         self.m: int = m

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .rng import generator_from
 
@@ -46,8 +45,15 @@ class Estimate:
         return f"{self.value:.2f} ± {self.half_width:.2f}"
 
 
+def _check_confidence(confidence: float) -> None:
+    """Reject a confidence level outside the open interval (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+
+
 def mean_ci(samples: np.ndarray, *, confidence: float = 0.95) -> Estimate:
     """Sample mean with a Student-t confidence interval."""
+    _check_confidence(confidence)
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("no samples")
@@ -57,6 +63,8 @@ def mean_ci(samples: np.ndarray, *, confidence: float = 0.95) -> Estimate:
     sem = float(x.std(ddof=1) / np.sqrt(x.size))
     if sem == 0.0:
         return Estimate(mean, mean, mean, int(x.size), confidence)
+    from scipy import stats as sps
+
     tcrit = float(sps.t.ppf(0.5 + confidence / 2.0, df=x.size - 1))
     return Estimate(
         value=mean,
@@ -76,6 +84,7 @@ def quantile_estimate(
     rng: np.random.Generator | int | None = None,
 ) -> Estimate:
     """Empirical ``q``-quantile with a bootstrap percentile interval."""
+    _check_confidence(confidence)
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("no samples")
@@ -116,6 +125,7 @@ def bootstrap_ci(
     rng: np.random.Generator | int | None = None,
 ) -> Estimate:
     """Generic bootstrap percentile CI for an arbitrary statistic."""
+    _check_confidence(confidence)
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("no samples")

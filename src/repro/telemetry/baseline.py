@@ -51,6 +51,9 @@ MEASURE_KEYS = (
     "speedup_vs_numpy",
     "mean_cover",
     "cover_rounds",
+    "seconds_q1",
+    "seconds_q3",
+    "peak_rss_mb",
 )
 
 #: Row columns holding headline latencies, in diff priority order.

@@ -74,3 +74,31 @@ class TestBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_ci(np.array([]), np.mean)
+
+
+class TestConfidenceValidation:
+    X = np.array([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_out_of_range_rejected(self, confidence):
+        for call in (
+            lambda: mean_ci(self.X, confidence=confidence),
+            lambda: quantile_estimate(self.X, 0.5, confidence=confidence, rng=1),
+            lambda: bootstrap_ci(self.X, np.mean, confidence=confidence, rng=1),
+        ):
+            with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\)"):
+                call()
+
+    def test_checked_before_the_sample_shortcuts(self):
+        # A single or constant sample returns without using the level;
+        # a bad level must still be reported.
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci(np.array([3.0]), confidence=1.0)
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci(np.array([2.0, 2.0]), confidence=0.0)
+
+    def test_in_range_accepted(self):
+        for confidence in (0.5, 0.99):
+            assert mean_ci(self.X, confidence=confidence).confidence == confidence
+            assert quantile_estimate(self.X, 0.5, confidence=confidence, rng=1).n_samples == 4
+            assert bootstrap_ci(self.X, np.mean, confidence=confidence, rng=1).n_samples == 4
